@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import Instance, subset_sum
+from .model import Instance, all_subset_sums, subset_sum
 from .rng import SplitMix64
 
 FAMILY_POWERS2 = "powers2"
@@ -63,14 +63,6 @@ class InstanceMeta:
     seed: int | None
     distinct_verified: bool
     planted_mask: int | None
-
-
-def all_subset_sums(elements) -> list[int]:
-    """All 2^n subset sums by doubling; order follows ascending masks."""
-    sums = [0]
-    for a in elements:
-        sums += [s + a for s in sums]
-    return sums
 
 
 def has_distinct_subset_sums(elements) -> bool:
@@ -131,7 +123,8 @@ def gen_planted(n: int, seed: int, planted_size: int) -> tuple[Instance, int]:
     for i in indices[:planted_size]:
         mask |= 1 << i
     instance = Instance(elements, sum(elements[i] for i in indices[:planted_size]))
-    assert subset_sum(instance, mask) == instance.target
+    if subset_sum(instance, mask) != instance.target:
+        raise RuntimeError(f"planted mask {mask:#x} does not sum to the target")
     return instance, mask
 
 

@@ -1,7 +1,7 @@
 """Comparison counting, run traces, and checks over measured runs.
 
-Every solver in this package routes its equality-determining comparisons
-through a ComparisonLedger, which holds three counters:
+Every solver in this package charges its equality-determining comparisons
+to a ComparisonLedger, which holds three counters:
 
   C (compare_count)    number of instrumented comparisons
   M (peak_sorted_len)  largest sorted list of candidate sums built, floor 1
@@ -13,9 +13,9 @@ The charging model is fixed so that runs are comparable across machines:
   build of k entries, +ceil(k * log2(k)) per sort of k entries.
 
 A ledger is single-writer: one solver run owns one ledger. In FULL_TRACE
-mode every comparison, sorted-list build, and solution emission is also
-recorded as an event, which tests replay to validate outcomes and witness
-properties. FULL_TRACE is refused above n = 24 to bound memory.
+mode every charged comparison, sorted-list build, and solution emission is
+also recorded as an event, which tests replay to validate outcomes and
+witness properties. FULL_TRACE is refused above n = 24 to bound memory.
 """
 
 from __future__ import annotations
@@ -87,9 +87,17 @@ class ComparisonLedger:
         self.encoding = ENCODING_SUM_VS_TARGET
 
     def compare(self, lhs: int, rhs: int) -> Ordering:
-        """Record one comparison and return the exact three-way ordering."""
-        self.compare_count += 1
-        self.elementary_ops += 1
+        """Charge and record one comparison; return the exact three-way ordering."""
+        self.charge_compares(1)
+        return self.record_compare(lhs, rhs)
+
+    def charge_compares(self, count: int) -> None:
+        """Charge count comparisons at once: C and T each grow by count."""
+        self.compare_count += count
+        self.elementary_ops += count
+
+    def record_compare(self, lhs: int, rhs: int) -> Ordering:
+        """Return the ordering of lhs and rhs and trace it; charges nothing."""
         if lhs == rhs:
             outcome = Ordering.EQ
         elif lhs < rhs:

@@ -71,6 +71,14 @@ def subset_sum(instance: Instance, mask: int) -> int:
     return total
 
 
+def all_subset_sums(elements) -> list[int]:
+    """All 2^n subset sums by doubling; entry k is the sum of relative mask k."""
+    sums = [0]
+    for a in elements:
+        sums += [s + a for s in sums]
+    return sums
+
+
 def verify(instance: Instance, mask: int) -> bool:
     """True iff the masked subset sums exactly to the target."""
     return subset_sum(instance, mask) == instance.target

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
-                     FULL_TRACE_MAX_N, ComparisonLedger, Mode, Ordering)
-from .model import Instance, verify
+                     FULL_TRACE_MAX_N, ComparisonLedger, Mode)
+from .model import Instance, all_subset_sums, verify
 
 BRUTE_FORCE_MAX_N = 30
 MITM_MAX_N = 50
@@ -58,8 +58,8 @@ class SolveResult:
 
 
 def _result(instance: Instance, ledger: ComparisonLedger, solution) -> SolveResult:
-    if solution is not None:
-        assert verify(instance, solution)
+    if solution is not None and not verify(instance, solution):
+        raise RuntimeError(f"solver produced mask {solution:#x}, which misses the target")
     return SolveResult(solution, ledger.compare_count, ledger.peak_sorted_len,
                        ledger.elementary_ops)
 
@@ -74,10 +74,10 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
                       *, max_n: int = BRUTE_FORCE_MAX_N) -> SolveResult:
     """Try every mask in ascending numeric order until one hits the target.
 
-    Each candidate costs one generation charge and one comparison; the
-    lowest matching mask wins. No sorted lists are built, so the ledger's
-    peak stays at its floor of 1. On an unsolvable instance the comparison
-    count is exactly 2^n.
+    Each candidate costs one generation charge and one comparison, both
+    charged in bulk once the walk ends; the lowest matching mask wins. No
+    sorted lists are built, so the ledger's peak stays at its floor of 1.
+    On an unsolvable instance the comparison count is exactly 2^n.
     """
     if instance.n > max_n:
         raise CapExceededError(
@@ -95,22 +95,24 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
     for a in elements:
         prefix.append(prefix[-1] + a)
 
-    compare = ledger.compare
-    charge = ledger.charge_generated
-    eq = Ordering.EQ
+    trace = ledger.trace
     total = 0
-    charge(1)
-    if compare(total, target) is eq:
-        ledger.emit(0)
-        return _result(instance, ledger, 0)
-    for mask in range(1, 1 << instance.n):
-        low_index = (mask & -mask).bit_length() - 1
-        total += elements[low_index] - prefix[low_index]
-        charge(1)
-        if compare(total, target) is eq:
-            ledger.emit(mask)
-            return _result(instance, ledger, mask)
-    return _result(instance, ledger, None)
+    solution = None
+    for mask in range(1 << instance.n):
+        if mask:
+            low_index = (mask & -mask).bit_length() - 1
+            total += elements[low_index] - prefix[low_index]
+        if trace is not None:
+            ledger.record_compare(total, target)
+        if total == target:
+            solution = mask
+            break
+    visited = 1 << instance.n if solution is None else solution + 1
+    ledger.charge_generated(visited)
+    ledger.charge_compares(visited)
+    if solution is not None:
+        ledger.emit(solution)
+    return _result(instance, ledger, solution)
 
 
 def half_sums(instance: Instance, half: Half,
@@ -126,18 +128,12 @@ def half_sums(instance: Instance, half: Half,
     if ledger is None:
         ledger = ComparisonLedger()
     split = (instance.n + 1) // 2
-    if half is Half.FRONT:
-        indices = range(0, split)
-    else:
-        indices = range(split, instance.n)
-    if (1 << len(indices)) > max_entries:
+    start, stop = (0, split) if half is Half.FRONT else (split, instance.n)
+    if (1 << (stop - start)) > max_entries:
         raise CapExceededError(
-            f"half list would hold 2^{len(indices)} entries, cap is {max_entries}")
-    entries = [HalfSumEntry(0, 0)]
-    for i in indices:
-        a = instance.elements[i]
-        bit = 1 << i
-        entries += [HalfSumEntry(e.sum + a, e.mask | bit) for e in entries]
+            f"half list would hold 2^{stop - start} entries, cap is {max_entries}")
+    sums = all_subset_sums(instance.elements[start:stop])
+    entries = [HalfSumEntry(total, k << start) for k, total in enumerate(sums)]
     ledger.charge_generated(len(entries))
     return entries
 
@@ -172,23 +168,30 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
     ledger.record_sorted_list(len(hi))
     ledger.charge_sort(len(hi))
 
+    trace = ledger.trace
     i = j = 0
     len_lo, len_hi = len(lo), len(hi)
-    scanned = 0
     solution = None
     while i < len_lo and j < len_hi:
-        scanned += 1
-        outcome = ledger.compare(lo[i][0], hi[j][0])
-        if outcome is Ordering.EQ:
+        lhs, rhs = lo[i][0], hi[j][0]
+        if trace is not None:
+            ledger.record_compare(lhs, rhs)
+        if lhs == rhs:
             solution = lo[i][1] | hi[j][1]
-            ledger.emit(solution)
             break
-        if outcome is Ordering.LT:
+        if lhs < rhs:
             i += 1
         else:
             j += 1
-    # Each miss advances exactly one pointer, so the scan is linear.
-    assert scanned <= len_lo + len_hi - 1
+    # Each miss advanced exactly one pointer and a hit ended the scan, so
+    # the comparisons made are the advances plus the hit: a linear scan.
+    compares = i + j + (solution is not None)
+    if compares > len_lo + len_hi - 1:
+        raise RuntimeError(f"scan made {compares} comparisons over lists of "
+                           f"{len_lo} and {len_hi} entries")
+    ledger.charge_compares(compares)
+    if solution is not None:
+        ledger.emit(solution)
     return _result(instance, ledger, solution)
 
 
@@ -228,5 +231,6 @@ def dp_solve(instance: Instance, *, max_range: int = DP_MAX_RANGE) -> int | None
             continue
         mask |= 1 << (i - 1)
         remaining -= elements[i - 1]
-    assert remaining == 0
+    if remaining != 0:
+        raise RuntimeError(f"dp walk-back left {remaining} of the target unmatched")
     return mask

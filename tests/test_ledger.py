@@ -91,6 +91,15 @@ def test_generation_charge():
     assert led.compare_count == 0
 
 
+def test_bulk_charge_and_trace_only_record():
+    led = ComparisonLedger(Mode.FULL_TRACE)
+    assert led.record_compare(4, 9) is Ordering.LT
+    assert (led.compare_count, led.elementary_ops) == (0, 0)
+    led.charge_compares(5)
+    assert (led.compare_count, led.elementary_ops) == (5, 5)
+    assert led.trace == [CompareEvent(4, 9, Ordering.LT)]
+
+
 def test_counters_only_has_no_trace():
     led = ComparisonLedger()
     led.compare(1, 2)

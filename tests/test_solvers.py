@@ -1,14 +1,21 @@
 """Solver behavior: contracts, frozen reference runs, and cross-oracle properties."""
 
+import inspect
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_matching_masks, oracle_solvable, simulate_mitm_scan
+import subsum
 from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
                     EmitEvent, Half, HalfSumEntry, Instance, Mode,
-                    brute_force_solve, dp_solve, gen_powers_of_two, half_sums,
-                    mitm_solve, solution_witness_check, subset_sum, verify)
+                    brute_force_solve, dp_solve, dump_trace, gen_powers_of_two,
+                    half_sums, mitm_solve, solution_witness_check, subset_sum,
+                    verify)
 from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET
 
 
@@ -283,6 +290,7 @@ def test_counters_identical_across_modes(inst):
         assert res_plain == res_traced
         assert (plain.compare_count, plain.peak_sorted_len, plain.elementary_ops) == \
                (traced.compare_count, traced.peak_sorted_len, traced.elementary_ops)
+        assert sum(isinstance(e, CompareEvent) for e in traced.trace) == traced.compare_count
 
 
 @given(small_instances())
@@ -299,3 +307,79 @@ def test_solver_traces_pass_witness_check(inst):
         solver(inst, led)
         assert led.encoding == encoding
         assert solution_witness_check(led.trace, inst, led.encoding)
+
+
+# -- counting by construction ----------------------------------------------
+
+def test_golden_traces():
+    # Both traces hold LT, GT and EQ outcomes; the texts pin event order.
+    inst = Instance((6, 5, -3, 2, 4), 5)
+    brute = ComparisonLedger(Mode.FULL_TRACE)
+    assert brute_force_solve(inst, brute).solution == 0b10
+    assert dump_trace(brute.trace) == (
+        "CMP 0 5 LT\n"
+        "CMP 6 5 GT\n"
+        "CMP 5 5 EQ\n"
+        "EMIT 2\n")
+    mitm = ComparisonLedger(Mode.FULL_TRACE)
+    assert mitm_solve(inst, mitm).solution == 0b1101
+    assert dump_trace(mitm.trace) == (
+        "LIST 8\n"
+        "LIST 4\n"
+        "CMP -3 -1 LT\n"
+        "CMP 0 -1 GT\n"
+        "CMP 0 1 LT\n"
+        "CMP 2 1 GT\n"
+        "CMP 2 3 LT\n"
+        "CMP 3 3 EQ\n"
+        "EMIT d\n")
+
+
+class CallCountingLedger(ComparisonLedger):
+    """A ledger that counts every call made to its methods."""
+
+    def __init__(self):
+        super().__init__(Mode.COUNTERS_ONLY)
+        self.calls = 0
+
+    def __getattribute__(self, name):
+        attr = super().__getattribute__(name)
+        if name.startswith("_") or not inspect.ismethod(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("solver", [brute_force_solve, mitm_solve])
+def test_ledger_calls_constant_in_n(solver):
+    calls = []
+    for n in (8, 16):
+        inst = gen_powers_of_two(n)
+        led = CallCountingLedger()
+        assert solver(inst, led) == solver(inst)
+        calls.append(led.calls)
+    assert calls[0] == calls[1]
+
+
+def test_result_check_survives_optimize_flag():
+    # Under -O every assert is stripped; a solvable run whose mask fails
+    # verification must still raise.
+    script = (
+        "import subsum.solvers as s\n"
+        "from subsum import Instance\n"
+        "assert False, 'asserts are live'\n"
+        "s.verify = lambda instance, mask: False\n"
+        "try:\n"
+        "    s.brute_force_solve(Instance((1, 2), 2))\n"
+        "except RuntimeError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(subsum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
