@@ -9,6 +9,7 @@ I/O). All configuration is via flags; no environment variables.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .bench import (BENCH_ALGOS, fit_growth, group_records, read_records_csv,
@@ -21,6 +22,7 @@ from .model import (InstanceFormatError, read_instance, subset_sum, verify,
 from .solvers import CapExceededError, brute_force_solve, dp_solve, mitm_solve
 
 SOLVE_ALGOS = ("brute", "mitm", "dp")
+_HEX_RE = re.compile(r"[0-9a-fA-F]+")
 
 
 class CliError(Exception):
@@ -115,10 +117,11 @@ def cmd_report(args) -> int:
 
 def cmd_check(args) -> int:
     instance = read_instance(args.in_path)
-    try:
-        mask = int(args.mask, 16)
-    except ValueError as exc:
-        raise CliError(f"mask must be hexadecimal: {exc}") from exc
+    # int(text, 16) would accept whitespace, "_", a sign and "0x"; the mask
+    # format is bare hex digits, as decimal strings are in instance files.
+    if not _HEX_RE.fullmatch(args.mask):
+        raise CliError(f"mask must be hexadecimal, got {args.mask!r}")
+    mask = int(args.mask, 16)
     total = subset_sum(instance, mask)
     if verify(instance, mask):
         print(f"MATCH {mask:x} {total}")

@@ -115,6 +115,17 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
     return _result(instance, ledger, solution)
 
 
+def _half_list(instance: Instance, start: int, stop: int,
+               ledger: ComparisonLedger, max_entries: int) -> list[int]:
+    """Subset sums of elements[start:stop]; entry k is the sum of relative mask k."""
+    if (1 << (stop - start)) > max_entries:
+        raise CapExceededError(
+            f"half list would hold 2^{stop - start} entries, cap is {max_entries}")
+    sums = all_subset_sums(instance.elements[start:stop])
+    ledger.charge_generated(len(sums))
+    return sums
+
+
 def half_sums(instance: Instance, half: Half,
               ledger: ComparisonLedger | None = None,
               *, max_entries: int = HALF_LIST_MAX_ENTRIES) -> list[HalfSumEntry]:
@@ -129,13 +140,8 @@ def half_sums(instance: Instance, half: Half,
         ledger = ComparisonLedger()
     split = (instance.n + 1) // 2
     start, stop = (0, split) if half is Half.FRONT else (split, instance.n)
-    if (1 << (stop - start)) > max_entries:
-        raise CapExceededError(
-            f"half list would hold 2^{stop - start} entries, cap is {max_entries}")
-    sums = all_subset_sums(instance.elements[start:stop])
-    entries = [HalfSumEntry(total, k << start) for k, total in enumerate(sums)]
-    ledger.charge_generated(len(entries))
-    return entries
+    sums = _half_list(instance, start, stop, ledger, max_entries)
+    return [HalfSumEntry(total, k << start) for k, total in enumerate(sums)]
 
 
 def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
@@ -143,12 +149,14 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
                max_entries: int = HALF_LIST_MAX_ENTRIES) -> SolveResult:
     """Meet-in-the-middle: sorted half-sum lists plus a two-pointer scan.
 
-    The front list holds (front sum, mask) ascending; the back list holds
-    (target - back sum, mask) ascending, ties broken by mask. The scan
-    compares the heads: equal means the two halves combine to the target,
-    so emit the OR of the masks and stop; otherwise advance the pointer on
-    the smaller side. When either list runs out there is no solution.
-    Complete because both halves are enumerated exhaustively.
+    The half lists hold plain sums, entry k being the sum of relative mask
+    k. The scan walks the sorted front sums against the sorted values
+    target - back sum: equal heads combine to the target, so stop;
+    otherwise advance the pointer on the smaller side. When either list
+    runs out there is no solution; complete because both halves are
+    enumerated exhaustively. A hit recovers each half's mask as the first
+    index of its sum, so the smallest front mask, then the smallest back
+    mask, wins at the first crossing value.
     """
     if instance.n > max_n:
         raise CapExceededError(
@@ -159,10 +167,11 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
     ledger.encoding = ENCODING_SPLIT_SUM
 
     target = instance.target
-    front = half_sums(instance, Half.FRONT, ledger, max_entries=max_entries)
-    back = half_sums(instance, Half.BACK, ledger, max_entries=max_entries)
+    split = (instance.n + 1) // 2
+    front = _half_list(instance, 0, split, ledger, max_entries)
+    back = _half_list(instance, split, instance.n, ledger, max_entries)
     lo = sorted(front)
-    hi = sorted((target - e.sum, e.mask) for e in back)
+    hi = sorted([target - s for s in back])
     ledger.record_sorted_list(len(lo))
     ledger.charge_sort(len(lo))
     ledger.record_sorted_list(len(hi))
@@ -173,11 +182,11 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
     len_lo, len_hi = len(lo), len(hi)
     solution = None
     while i < len_lo and j < len_hi:
-        lhs, rhs = lo[i][0], hi[j][0]
+        lhs, rhs = lo[i], hi[j]
         if trace is not None:
             ledger.record_compare(lhs, rhs)
         if lhs == rhs:
-            solution = lo[i][1] | hi[j][1]
+            solution = front.index(lhs) | back.index(target - rhs) << split
             break
         if lhs < rhs:
             i += 1

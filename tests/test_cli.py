@@ -172,6 +172,8 @@ def test_check_match_and_mismatch(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "MATCH 14 9"
     assert run_cli("check", "--in", str(path), "--mask", "3") == 1
     assert capsys.readouterr().out.strip() == "NOMATCH 3 37"
+    assert run_cli("check", "--in", str(path), "--mask", "1F") == 1
+    assert capsys.readouterr().out.strip() == "NOMATCH 1f 58"
 
 
 def test_check_invalid_mask(tmp_path, capsys):
@@ -179,6 +181,13 @@ def test_check_invalid_mask(tmp_path, capsys):
     write_instance(Instance((1, 2), 3), path)
     assert run_cli("check", "--in", str(path), "--mask", "zz") == 2
     assert run_cli("check", "--in", str(path), "--mask", "7") == 2
+    capsys.readouterr()
+    # Forms int(text, 16) accepts but the mask format does not.
+    for text in (" 1_1 ", "0x11", "-0", "+1", ""):
+        assert run_cli("check", "--in", str(path), "--mask", text) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mask must be hexadecimal" in captured.err
 
 
 def test_bench_and_report_end_to_end(tmp_path, capsys):

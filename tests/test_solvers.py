@@ -4,6 +4,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,8 @@ import subsum
 from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
                     EmitEvent, Half, HalfSumEntry, Instance, Mode,
                     brute_force_solve, dp_solve, dump_trace, gen_powers_of_two,
-                    half_sums, mitm_solve, solution_witness_check, subset_sum,
-                    verify)
+                    gen_random_wide, half_sums, mitm_solve,
+                    solution_witness_check, subset_sum, verify)
 from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET
 
 
@@ -180,6 +181,8 @@ def test_mitm_cap_refusal():
     inst = Instance((0,) * 51, 1)
     with pytest.raises(CapExceededError, match="50"):
         mitm_solve(inst)
+    with pytest.raises(CapExceededError, match=r"2\^3"):
+        mitm_solve(Instance((0,) * 6, 1), max_entries=4)
 
 
 def test_mitm_trace_shape():
@@ -194,13 +197,26 @@ def test_mitm_trace_shape():
     assert led.encoding == ENCODING_SPLIT_SUM
 
 
-@given(small_instances())
+@given(st.one_of(small_instances(), small_instances(max_n=12, magnitude=3)))
 @settings(max_examples=300)
 def test_mitm_equals_independent_simulation(inst):
     expected_mask, expected_count = simulate_mitm_scan(inst.elements, inst.target)
     res = mitm_solve(inst)
     assert res.solution == expected_mask
     assert res.compare_count == expected_count
+
+
+def test_mitm_memory_per_half_entry():
+    # Plain int half lists peak near 74 B per entry on 64-bit CPython 3.11;
+    # one (sum, mask) tuple per entry took more than 160 B.
+    inst = gen_random_wide(20, 1)
+    tracemalloc.start()
+    try:
+        mitm_solve(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (2 ** 10 + 2 ** 10) < 110
 
 
 @given(small_instances())
