@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -146,26 +147,36 @@ def dump_trace(trace) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# One record per line, exactly as dump_trace writes it. ASCII classes, not
+# \d, so that no other script's digits parse.
+_TRACE_LINE_RE = re.compile(
+    r"CMP (-?[0-9]+) (-?[0-9]+) (EQ|LT|GT)|LIST ([0-9]+)|EMIT ([0-9a-f]+)")
+_ORDERINGS = {ordering.value: ordering for ordering in Ordering}
+
+
 def parse_trace(text: str) -> list:
-    """Inverse of dump_trace; used by tests to round-trip dumps."""
+    """Inverse of dump_trace; used by tests to round-trip dumps.
+
+    Blank lines are skipped. Any other line that dump_trace could not have
+    written raises TraceError naming its line number.
+    """
     events = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        parts = line.split()
-        if not parts:
+        if not line.strip():
             continue
-        kind = parts[0]
+        match = _TRACE_LINE_RE.fullmatch(line)
+        if match is None:
+            raise TraceError(f"line {lineno}: malformed record {line!r}")
+        lhs, rhs, code, length, mask = match.groups()
         try:
-            if kind == "CMP":
-                lhs, rhs, code = parts[1], parts[2], parts[3]
-                events.append(CompareEvent(int(lhs), int(rhs), Ordering(code)))
-            elif kind == "LIST":
-                events.append(SortedListEvent(int(parts[1])))
-            elif kind == "EMIT":
-                events.append(EmitEvent(int(parts[1], 16)))
+            if code is not None:
+                events.append(CompareEvent(int(lhs), int(rhs), _ORDERINGS[code]))
+            elif length is not None:
+                events.append(SortedListEvent(int(length)))
             else:
-                raise TraceError(f"line {lineno}: unknown record {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise TraceError(f"line {lineno}: malformed record {line!r}") from exc
+                events.append(EmitEvent(int(mask, 16)))
+        except ValueError as exc:  # a decimal past the interpreter's digit limit
+            raise TraceError(f"line {lineno}: {exc}") from exc
     return events
 
 

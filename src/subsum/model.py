@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
@@ -98,7 +99,12 @@ def _parse_decimal(s, what: str) -> int:
     # int() would accept "1_0" and surrounding whitespace; the format does not.
     if not isinstance(s, str) or not _DECIMAL_RE.fullmatch(s):
         raise InstanceFormatError(f"{what} must be a decimal string, got {s!r}")
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:  # CPython refuses to convert past its digit limit
+        raise InstanceFormatError(
+            f"{what} has {len(s.lstrip('-'))} digits, over the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()}") from None
 
 
 def loads_instance(text: str) -> Instance:

@@ -2,8 +2,9 @@
 
 Three independent routes to the same answer:
 
-  * brute_force_solve: enumerate all masks in ascending order, one
-    instrumented comparison per candidate sum. The Theta(2^n) baseline.
+  * brute_force_solve: visit all masks in ascending order, counting one
+    comparison per mask visited. The Theta(2^n) baseline; it checks masks
+    in blocks of 2^10 by scanning one list of low-element sums.
   * mitm_solve: split the elements into a front and back half, enumerate
     each half's subset sums, sort both candidate lists, and run a linear
     two-pointer scan for a crossing pair. Theta(sqrt(2^n) * n) time.
@@ -27,6 +28,10 @@ from .model import Instance, all_subset_sums, verify
 BRUTE_FORCE_MAX_N = 30
 MITM_MAX_N = 50
 HALF_LIST_MAX_ENTRIES = 1 << 26
+# brute checks its masks in blocks of 2^BRUTE_BLOCK_BITS against one unsorted
+# list of low-element sums. Fixed rather than sized from n, so brute's memory
+# stays flat in n and its M = 1 still means it holds no growing list.
+BRUTE_BLOCK_BITS = 10
 DP_MAX_RANGE = 10 ** 7
 
 
@@ -74,10 +79,17 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
                       *, max_n: int = BRUTE_FORCE_MAX_N) -> SolveResult:
     """Try every mask in ascending numeric order until one hits the target.
 
-    Each candidate costs one generation charge and one comparison, both
-    charged in bulk once the walk ends; the lowest matching mask wins. No
-    sorted lists are built, so the ledger's peak stays at its floor of 1.
-    On an unsolvable instance the comparison count is exactly 2^n.
+    The walk goes block by block: with k = min(n, BRUTE_BLOCK_BITS), masks
+    h * 2^k .. h * 2^k + 2^k - 1 share the high-element sum offset(h), and
+    one scan of the low-element sums for target - offset(h) checks them
+    all. Each entry the scan tests settles whether one mask hits the
+    target, so each visited mask costs one comparison and one generation
+    charge, both charged in bulk once the walk ends; the lowest matching
+    mask wins. The low list is unsorted and holds at most 2^BRUTE_BLOCK_BITS
+    entries, so no sorted list is built and the ledger's peak stays at its
+    floor of 1. On an unsolvable instance the comparison count is exactly
+    2^n. In FULL_TRACE mode every visited mask records one event, in
+    ascending mask order.
     """
     if instance.n > max_n:
         raise CapExceededError(
@@ -87,25 +99,32 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
     _check_trace_cap(instance, ledger)
     ledger.encoding = ENCODING_SUM_VS_TARGET
 
-    elements = instance.elements
     target = instance.target
-    # Prefix sums make the ascending-mask walk incremental: stepping from
-    # mask-1 to mask clears the trailing one-bits and sets one new bit.
+    # Mask h * 2^k + l sums to low[l] + offset(h). list.index returns the
+    # smallest l, so the first hit is the lowest matching mask.
+    k = min(instance.n, BRUTE_BLOCK_BITS)
+    low = all_subset_sums(instance.elements[:k])
+    high = instance.elements[k:]
+    # Prefix sums make the ascending walk over h incremental: stepping from
+    # h-1 to h clears the trailing one-bits and sets one new bit.
     prefix = [0]
-    for a in elements:
+    for a in high:
         prefix.append(prefix[-1] + a)
 
     trace = ledger.trace
-    total = 0
+    offset = 0
     solution = None
-    for mask in range(1 << instance.n):
-        if mask:
-            low_index = (mask & -mask).bit_length() - 1
-            total += elements[low_index] - prefix[low_index]
+    for h in range(1 << len(high)):
+        if h:
+            bit = (h & -h).bit_length() - 1
+            offset += high[bit] - prefix[bit]
+        want = target - offset
+        hit = low.index(want) if want in low else None
         if trace is not None:
-            ledger.record_compare(total, target)
-        if total == target:
-            solution = mask
+            for s in low if hit is None else low[:hit + 1]:
+                ledger.record_compare(s + offset, target)
+        if hit is not None:
+            solution = h << k | hit
             break
     visited = 1 << instance.n if solution is None else solution + 1
     ledger.charge_generated(visited)

@@ -129,10 +129,10 @@ def test_dump_parse_round_trip():
 
 
 def test_parse_trace_rejects_garbage():
-    with pytest.raises(TraceError):
-        parse_trace("CMP 1 2\n")
-    with pytest.raises(TraceError):
-        parse_trace("WAT 1\n")
+    for line in ["CMP 1 2", "WAT 1", "CMP 1_0 +3 EQ junk", "CMP \u0661 2 EQ",
+                 "LIST +4", "CMP 1 2 eq"]:
+        with pytest.raises(TraceError, match="line 2"):
+            parse_trace("LIST 1\n" + line + "\n")
 
 
 # -- witness checking ------------------------------------------------------

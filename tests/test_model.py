@@ -132,6 +132,12 @@ def test_file_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_loads_rejects_digits_past_int_limit():
+    doc = '{"n":1,"a":["%s"],"b":"0"}' % ("7" * 5000)
+    with pytest.raises(InstanceFormatError, match="5000 digits.*limit"):
+        loads_instance(doc)
+
+
 def test_loads_rejects_length_mismatch():
     with pytest.raises(InstanceFormatError):
         loads_instance('{"n":2,"a":["1"],"b":"0"}')

@@ -1,5 +1,6 @@
 """Solver behavior: contracts, frozen reference runs, and cross-oracle properties."""
 
+import hashlib
 import inspect
 import os
 import subprocess
@@ -21,9 +22,9 @@ from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET
 
 
 @st.composite
-def small_instances(draw, max_n=10, magnitude=30):
+def small_instances(draw, max_n=10, magnitude=30, min_n=0):
     elements = tuple(draw(st.lists(st.integers(-magnitude, magnitude),
-                                   max_size=max_n)))
+                                   min_size=min_n, max_size=max_n)))
     n = len(elements)
     if n and draw(st.booleans()):
         mask = draw(st.integers(0, (1 << n) - 1))
@@ -82,7 +83,7 @@ def test_full_trace_cap_refusal():
             solver(inst, ComparisonLedger(Mode.FULL_TRACE))
 
 
-@given(st.integers(0, 10), st.lists(st.integers(-20, 20), max_size=10))
+@given(st.integers(0, 10), st.lists(st.integers(-20, 20), max_size=14))
 def test_brute_exact_count_on_no_instance(odd_target_seed, halves):
     # all-even elements with an odd target can never match
     inst = Instance(tuple(2 * x for x in halves), 2 * odd_target_seed + 1)
@@ -90,6 +91,33 @@ def test_brute_exact_count_on_no_instance(odd_target_seed, halves):
     assert res.solution is None
     assert res.compare_count == 1 << inst.n
     assert res.peak_sorted_len == 1
+
+
+@given(small_instances(max_n=14, magnitude=3, min_n=11))
+@settings(max_examples=60)
+def test_brute_lowest_mask_across_blocks(inst):
+    # n > 10 spreads the masks over several blocks of low sums; ties in
+    # [-3, 3] give most targets many matching masks in several blocks.
+    res = brute_force_solve(inst)
+    assert res.solution == min(oracle_matching_masks(inst.elements, inst.target),
+                               default=None)
+    visited = 1 << inst.n if res.solution is None else res.solution + 1
+    assert res.compare_count == visited
+    assert res.elementary_ops == 2 * visited
+    assert res.peak_sorted_len == 1
+
+
+def test_brute_memory_flat_in_n():
+    # The only list brute holds is the block of low sums, at most 2^10
+    # entries whatever n is (about 49 KB on 64-bit CPython 3.11).
+    for inst in [gen_powers_of_two(24), gen_random_wide(18, 1)]:
+        tracemalloc.start()
+        try:
+            brute_force_solve(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024, (inst.n, peak)
 
 
 # -- half sums -------------------------------------------------------------
@@ -349,6 +377,13 @@ def test_golden_traces():
         "CMP 2 3 LT\n"
         "CMP 3 3 EQ\n"
         "EMIT d\n")
+    # Ties everywhere and a hit in the fourth block of 2^10 masks, with LT,
+    # GT and EQ outcomes; the digest was taken from the per-mask walk.
+    wide = Instance((0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, -2, -3), 2)
+    blocks = ComparisonLedger(Mode.FULL_TRACE)
+    assert brute_force_solve(wide, blocks).solution == 0b111000000000
+    assert hashlib.sha256(dump_trace(blocks.trace).encode()).hexdigest() == (
+        "b5b4ab9b41ffc49972fcee7e44ddebaab153b9c0a56a4f3628ef9ab26df6662a")
 
 
 class CallCountingLedger(ComparisonLedger):
