@@ -9,6 +9,7 @@ I/O). All configuration is via flags; no environment variables.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -130,7 +131,9 @@ def cmd_check(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `subsum` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="subsum",
         description="Exact subset-sum solvers with comparison-count instrumentation.")
@@ -180,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, CapExceededError, InstanceFormatError, ValueError, OSError) as exc:

@@ -14,8 +14,9 @@ The charging model is fixed so that runs are comparable across machines:
 
 A ledger is single-writer: one solver run owns one ledger. In FULL_TRACE
 mode every charged comparison, sorted-list build, and solution emission is
-also recorded as an event, which tests replay to validate outcomes and
-witness properties. FULL_TRACE is refused above n = 24 to bound memory.
+also recorded as an event; dump_trace and parse_trace convert events to
+and from the line format, and solution_witness_check replays them.
+FULL_TRACE is refused above n = 24 to bound memory.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 from .model import Instance, check_mask, subset_sum
@@ -64,6 +66,10 @@ class SortedListEvent(NamedTuple):
 
 class EmitEvent(NamedTuple):
     mask: int
+
+
+# Indexed by rhs > lhs: an unequal pair is GT (False) or LT (True).
+_MISS_OUTCOMES = (Ordering.GT, Ordering.LT)
 
 
 def sort_charge(length: int) -> int:
@@ -109,6 +115,20 @@ class ComparisonLedger:
             self.trace.append(CompareEvent(lhs, rhs, outcome))
         return outcome
 
+    def record_misses(self, lhs: list[int], rhs: int) -> None:
+        """Trace lhs[i] against rhs for every i, in order; charges nothing.
+
+        No lhs value may equal rhs, so each outcome is LT or GT. The events
+        are built and appended in one C-level pass rather than one call each.
+        """
+        if self.trace is None:
+            return
+        if rhs in lhs:
+            raise ValueError(f"record_misses got an lhs equal to rhs={rhs}")
+        outcomes = map(_MISS_OUTCOMES.__getitem__, map(rhs.__gt__, lhs))
+        self.trace.extend(map(tuple.__new__, repeat(CompareEvent),
+                              zip(lhs, repeat(rhs), outcomes)))
+
     def charge_generated(self, count: int = 1) -> None:
         """Charge unit cost for generating candidate subset sums."""
         self.elementary_ops += count
@@ -134,32 +154,104 @@ class ComparisonLedger:
 
 def dump_trace(trace) -> str:
     """Render a trace in the line format: CMP / LIST / EMIT records."""
-    lines = []
-    for event in trace:
-        if isinstance(event, CompareEvent):
-            lines.append(f"CMP {event.lhs} {event.rhs} {event.outcome.value}")
-        elif isinstance(event, SortedListEvent):
-            lines.append(f"LIST {event.length}")
-        elif isinstance(event, EmitEvent):
-            lines.append(f"EMIT {event.mask:x}")
+    parts = []
+    # One comprehension per run of same-typed events. An outcome's text is
+    # its _value_, a plain attribute; .value is a Python-level property.
+    for kind, run in groupby(trace, type):
+        if kind is CompareEvent:
+            parts += [f"CMP {lhs} {rhs} {outcome._value_}\n" for lhs, rhs, outcome in run]
+        elif kind is SortedListEvent:
+            parts += [f"LIST {event.length}\n" for event in run]
+        elif kind is EmitEvent:
+            parts += [f"EMIT {event.mask:x}\n" for event in run]
         else:
-            raise TraceError(f"unknown event {event!r}")
-    return "".join(line + "\n" for line in lines)
+            parts += map(_dump_event, run)
+    return "".join(parts)
+
+
+def _dump_event(event) -> str:
+    """One record for an event of any type, subclasses of the events included."""
+    if isinstance(event, CompareEvent):
+        return f"CMP {event.lhs} {event.rhs} {event.outcome.value}\n"
+    if isinstance(event, SortedListEvent):
+        return f"LIST {event.length}\n"
+    if isinstance(event, EmitEvent):
+        return f"EMIT {event.mask:x}\n"
+    raise TraceError(f"unknown event {event!r}")
 
 
 # One record per line, exactly as dump_trace writes it. ASCII classes, not
 # \d, so that no other script's digits parse.
 _TRACE_LINE_RE = re.compile(
     r"CMP (-?[0-9]+) (-?[0-9]+) (EQ|LT|GT)|LIST ([0-9]+)|EMIT ([0-9a-f]+)")
+# The same records, each ending in "\n", repeated over a chunk. No groups:
+# sre saves their marks on every repetition. It still keeps one backtrack
+# frame per repetition, so a match covers about _CHUNK_CHARS rather than
+# the whole text; a possessive *+ would avoid that but needs Python 3.11.
+_CHUNK_RE = re.compile(r"(?:(?:CMP -?[0-9]+ -?[0-9]+ (?:EQ|LT|GT)"
+                       r"|LIST [0-9]+|EMIT [0-9a-f]+)\n)*")
+# In a chunk that matched, every record that is not LIST or EMIT is a CMP.
+_OTHER_RECORD_RE = re.compile(r"^(LIST|EMIT) ([0-9a-f]+)\n", re.MULTILINE)
+_CHUNK_CHARS = 1 << 15
 _ORDERINGS = {ordering.value: ordering for ordering in Ordering}
 
 
 def parse_trace(text: str) -> list:
-    """Inverse of dump_trace; used by tests to round-trip dumps.
+    """Inverse of dump_trace: the events of a trace dump, in order.
 
-    Blank lines are skipped. Any other line that dump_trace could not have
-    written raises TraceError naming its line number.
+    A record is one of `CMP <int> <int> EQ|LT|GT`, `LIST <nonnegative
+    int>` or `EMIT <lowercase hex>`, with single spaces and ASCII digits.
+    Lines are split as str.splitlines splits them; blank and
+    whitespace-only lines are skipped. Any other line raises TraceError
+    naming its line number, as does a decimal past the interpreter's
+    int-to-str digit limit.
     """
+    events = _parse_dump(text)
+    return _parse_lines(text) if events is None else events
+
+
+def _parse_dump(text: str) -> list | None:
+    """Fast path for text exactly as dump_trace writes it, else None.
+
+    Text is taken in chunks of about _CHUNK_CHARS cut after a newline.
+    Each chunk is validated by one regex match and then converted column
+    by column, so no per-line Python code runs. None means the text needs
+    the per-line parser: a chunk did not match (blank lines, other line
+    breaks, no final newline, a malformed record) or a decimal was past
+    the digit limit.
+    """
+    events = []
+    start, size = 0, len(text)
+    try:
+        while start < size:
+            stop = text.find("\n", start + _CHUNK_CHARS) + 1 or size
+            chunk = text[start:stop]
+            if _CHUNK_RE.fullmatch(chunk) is None:
+                return None
+            pos = 0
+            for match in _OTHER_RECORD_RE.finditer(chunk):
+                _extend_compares(events, chunk[pos:match.start()])
+                kind, value = match.groups()
+                events.append(SortedListEvent(int(value)) if kind == "LIST"
+                              else EmitEvent(int(value, 16)))
+                pos = match.end()
+            _extend_compares(events, chunk[pos:])
+            start = stop
+    except ValueError:
+        return None
+    return events
+
+
+def _extend_compares(events: list, records: str) -> None:
+    """Append the CompareEvents of validated CMP records to events."""
+    tokens = records.split()
+    events.extend(map(tuple.__new__, repeat(CompareEvent),
+                      zip(map(int, tokens[1::4]), map(int, tokens[2::4]),
+                          map(_ORDERINGS.__getitem__, tokens[3::4]))))
+
+
+def _parse_lines(text: str) -> list:
+    """The per-line parser: every line that parse_trace accepts, and its errors."""
     events = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -180,45 +272,51 @@ def parse_trace(text: str) -> list:
     return events
 
 
-def _decode_compared_pair(event: CompareEvent, target: int, encoding: str):
-    """Map recorded operands back to the (subset sum, target) pair compared."""
+def _witnesses(event, instance: Instance, mask: int, encoding: str) -> bool:
+    """Whether event is an EQ comparison that settles mask's hit on the target.
+
+    The operands must be equal and must be the ones the solver compares
+    for this mask: under ENCODING_SUM_VS_TARGET (subset sum, target); under
+    ENCODING_SPLIT_SUM (front sum, target - back sum), the front being
+    elements [0, ceil(n/2)) as in mitm_solve.
+    """
+    if (type(event) is not CompareEvent or event.outcome is not Ordering.EQ
+            or event.lhs != event.rhs):
+        return False
+    target = instance.target
     if encoding == ENCODING_SUM_VS_TARGET:
-        return event.lhs, event.rhs
-    if encoding == ENCODING_SPLIT_SUM:
-        # lhs = front sum, rhs = target - back sum; the equality determined
-        # is front + back = target.
-        return event.lhs + target - event.rhs, target
-    raise ValueError(f"unknown encoding {encoding!r}")
+        return event.rhs == target and event.lhs == subset_sum(instance, mask)
+    front = mask & ((1 << (instance.n + 1) // 2) - 1)
+    return (event.lhs == subset_sum(instance, front)
+            and target - event.rhs == subset_sum(instance, mask ^ front))
 
 
 def solution_witness_check(trace, instance: Instance,
                            encoding: str = ENCODING_SUM_VS_TARGET) -> bool:
-    """Check that every emitted solution was preceded by an equality witness.
+    """Check that the emitted solution is bound to the comparison that found it.
 
-    For each EmitEvent carrying mask s there must be an earlier CompareEvent
-    with outcome EQ whose operands, decoded under the solver's declared
-    encoding, compared subset_sum(instance, s) against the target. A trace
-    with no emission passes vacuously.
+    The event right before an EmitEvent carrying mask s must be a
+    CompareEvent with outcome EQ, equal operands, and the operands the
+    solver's declared encoding gives for s (see _witnesses). A trace with
+    no emission passes vacuously; an invalid mask or a second emission
+    raises TraceError.
     """
-    target = instance.target
-    emits_seen = 0
-    witnessed = set()
-    result = True
-    for event in trace:
-        if isinstance(event, CompareEvent):
-            if event.outcome is Ordering.EQ:
-                witnessed.add(_decode_compared_pair(event, target, encoding))
-        elif isinstance(event, EmitEvent):
-            emits_seen += 1
-            if emits_seen > 1:
-                raise TraceError("trace contains more than one emission")
-            try:
-                check_mask(instance, event.mask)
-            except (TypeError, ValueError) as exc:
-                raise TraceError(f"emitted mask invalid: {exc}") from exc
-            if (subset_sum(instance, event.mask), target) not in witnessed:
-                result = False
-    return result
+    if encoding not in (ENCODING_SUM_VS_TARGET, ENCODING_SPLIT_SUM):
+        raise ValueError(f"unknown encoding {encoding!r}")
+    events = list(trace)
+    kinds = list(map(type, events))
+    emits = kinds.count(EmitEvent)
+    if not emits:
+        return True
+    at = kinds.index(EmitEvent)
+    mask = events[at].mask
+    try:
+        check_mask(instance, mask)
+    except (TypeError, ValueError) as exc:
+        raise TraceError(f"emitted mask invalid: {exc}") from exc
+    if emits > 1:
+        raise TraceError("trace contains more than one emission")
+    return at > 0 and _witnesses(events[at - 1], instance, mask, encoding)
 
 
 @dataclass(frozen=True)

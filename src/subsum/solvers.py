@@ -121,8 +121,11 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
         want = target - offset
         hit = low.index(want) if want in low else None
         if trace is not None:
-            for s in low if hit is None else low[:hit + 1]:
-                ledger.record_compare(s + offset, target)
+            # Entries before the hit differ from want; the hit itself is EQ.
+            seen = low if hit is None else low[:hit]
+            ledger.record_misses(list(map(offset.__add__, seen)), target)
+            if hit is not None:
+                ledger.record_compare(target, target)
         if hit is not None:
             solution = h << k | hit
             break

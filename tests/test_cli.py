@@ -6,7 +6,7 @@ import pytest
 
 from subsum import (Instance, parse_trace, read_instance,
                     solution_witness_check, verify, write_instance)
-from subsum.cli import main, meta_path_for
+from subsum.cli import build_parser, main, meta_path_for
 from subsum.ledger import ENCODING_SUM_VS_TARGET
 
 
@@ -265,3 +265,15 @@ def test_bench_seed_validation():
     with pytest.raises(SystemExit):
         run_cli("bench", "--algo", "mitm", "--family", "powers2",
                 "--n-min", "4", "--n-max", "8", "--seed", "-1", "--out", "x.csv")
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    inst = tmp_path / "i.json"
+    write_instance(Instance((3, 5), 8), inst)
+    # A run that exits on a usage error leaves nothing behind for the next.
+    with pytest.raises(SystemExit):
+        run_cli("check", "--in", str(inst))
+    assert run_cli("check", "--in", str(inst), "--mask", "3") == 0
+    assert run_cli("check", "--in", str(inst), "--mask", "1") == 1
+    assert capsys.readouterr().out.splitlines() == ["MATCH 3 8", "NOMATCH 1 3"]

@@ -1,15 +1,19 @@
 """Ledger counting, traces, witness checking, and tradeoff checks."""
 
+import tracemalloc
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsum import (ComparisonLedger, CompareEvent, EmitEvent,
                     ExperimentRecord, Instance, Mode, Ordering,
-                    SortedListEvent, TraceError, dump_trace, parse_trace,
+                    SortedListEvent, TraceError, brute_force_solve,
+                    dump_trace, gen_planted, ledger, parse_trace,
                     solution_witness_check, tradeoff_report)
 from subsum.ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
-                           sort_charge)
+                           _parse_lines, sort_charge)
 
 
 def make_record(n, m, t):
@@ -135,6 +139,126 @@ def test_parse_trace_rejects_garbage():
             parse_trace("LIST 1\n" + line + "\n")
 
 
+def test_record_misses_bulk_matches_record_compare():
+    bulk = ComparisonLedger(Mode.FULL_TRACE)
+    bulk.record_misses([-4, 9, 2, 10 ** 30], 3)
+    one = ComparisonLedger(Mode.FULL_TRACE)
+    for lhs in (-4, 9, 2, 10 ** 30):
+        one.record_compare(lhs, 3)
+    assert bulk.trace == one.trace
+    assert all(type(e) is CompareEvent for e in bulk.trace)
+    assert (bulk.compare_count, bulk.elementary_ops) == (0, 0)
+    with pytest.raises(ValueError):
+        bulk.record_misses([1, 3], 3)
+    plain = ComparisonLedger()
+    plain.record_misses([1, 3], 3)
+    assert plain.trace is None
+
+
+class EventSubclass(CompareEvent):
+    pass
+
+
+def test_dump_trace_handles_event_subclasses_and_unknowns():
+    trace = [CompareEvent(1, 2, Ordering.LT), EventSubclass(5, 5, Ordering.EQ),
+             EmitEvent(3)]
+    assert dump_trace(trace) == "CMP 1 2 LT\nCMP 5 5 EQ\nEMIT 3\n"
+    with pytest.raises(TraceError, match="unknown event"):
+        dump_trace([SortedListEvent(1), (1, 2)])
+
+
+# Chunk sizes small enough that records straddle chunk boundaries.
+CHUNK_SIZES = st.sampled_from([1, 7, 40, 1 << 15])
+
+record_lines = st.one_of(
+    st.builds("CMP {} {} {}".format, st.integers(-10 ** 25, 10 ** 25),
+              st.integers(-10 ** 25, 10 ** 25), st.sampled_from(["EQ", "LT", "GT"])),
+    st.builds("LIST {}".format, st.integers(0, 10 ** 6)),
+    st.builds("EMIT {:x}".format, st.integers(0, 1 << 70)),
+)
+odd_lines = st.sampled_from([
+    "", " ", "\t", "CMP 1 2", "CMP 1 2 EQ ", " LIST 3", "EMIT 1A", "LIST -1",
+    "CMP 1_0 2 LT", "CMP +1 2 GT", "CMP \u0661 2 EQ", "CMP 1  2 EQ", "LIST 0x1",
+])
+separators = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c",
+                              "\x1c", "\x85", "\u2028"])
+
+
+@st.composite
+def trace_texts(draw):
+    lines = draw(st.lists(st.one_of(record_lines, record_lines, odd_lines), max_size=30))
+    parts = [line + draw(separators) for line in lines]
+    if parts and draw(st.booleans()):
+        parts[-1] = lines[-1]  # no final line break
+    return "".join(parts)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except TraceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(trace_texts(), CHUNK_SIZES)
+def test_parse_trace_matches_per_line_parser(text, chunk):
+    with mock.patch.object(ledger, "_CHUNK_CHARS", chunk):
+        assert parse_outcome(parse_trace, text) == parse_outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 1 << 15])
+def test_parse_trace_digit_limit_names_its_line(chunk):
+    lines = [f"CMP {i} 500 LT" for i in range(3000)]
+    lines[2500] = f"CMP {'7' * 5000} 500 GT"
+    text = "".join(line + "\n" for line in lines)
+    with mock.patch.object(ledger, "_CHUNK_CHARS", chunk):
+        with pytest.raises(TraceError, match="^line 2501: .*limit") as caught:
+            parse_trace(text)
+    with pytest.raises(TraceError) as expected:
+        _parse_lines(text)
+    assert str(caught.value) == str(expected.value)
+
+
+events = st.one_of(
+    st.builds(CompareEvent, st.integers(-(1 << 80), 1 << 80),
+              st.integers(-(1 << 80), 1 << 80), st.sampled_from(Ordering)),
+    st.builds(SortedListEvent, st.integers(0, 1 << 70)),
+    st.builds(EmitEvent, st.integers(0, 1 << 90)),
+)
+
+
+@given(st.lists(events, max_size=60), CHUNK_SIZES)
+def test_dump_parse_round_trip_random(trace, chunk):
+    text = dump_trace(trace)
+    assert text == "".join(ledger._dump_event(e) for e in trace)
+    with mock.patch.object(ledger, "_CHUNK_CHARS", chunk):
+        parsed = parse_trace(text)
+    assert parsed == trace
+    assert [type(e) for e in parsed] == [type(e) for e in trace]
+
+
+def test_parse_trace_memory_bounded_on_brute_dump():
+    # About 16k lines. Validating the whole text with one regex keeps one
+    # backtrack frame per line and peaks near 7 MB; chunked parsing stays
+    # under 3 MB.
+    for seed in (1, 2):
+        inst, _ = gen_planted(14, seed, 13)
+        led = ComparisonLedger(Mode.FULL_TRACE)
+        brute_force_solve(inst, led)
+        text = dump_trace(led.trace)
+        assert len(led.trace) > 14000
+        del led
+        tracemalloc.start()
+        try:
+            parsed = parse_trace(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parsed) > 14000
+        assert peak < 5_000_000, f"parse_trace peaked at {peak} B"
+
+
 # -- witness checking ------------------------------------------------------
 
 def test_witness_direct_hit():
@@ -173,6 +297,35 @@ def test_witness_split_encoding():
     trace = [CompareEvent(4, 4, Ordering.EQ), EmitEvent(0b11)]
     assert solution_witness_check(trace, inst, ENCODING_SPLIT_SUM)
     # under the direct encoding those operands witness 4 = 4, not sum = 9
+    assert not solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+
+
+def test_witness_split_rejects_forged_operands():
+    # 999 = 999 is a true EQ, but not front sum vs target minus back sum.
+    inst = Instance((4, 5), 9)
+    trace = [CompareEvent(999, 999, Ordering.EQ), EmitEvent(0b11)]
+    assert not solution_witness_check(trace, inst, ENCODING_SPLIT_SUM)
+    # Equal operands that decode to a different split of the same total.
+    inst = Instance((4, 5, 3, 2), 9)
+    trace = [CompareEvent(7, 7, Ordering.EQ), EmitEvent(0b0011)]
+    assert not solution_witness_check(trace, inst, ENCODING_SPLIT_SUM)
+    trace = [CompareEvent(9, 9, Ordering.EQ), EmitEvent(0b0011)]
+    assert solution_witness_check(trace, inst, ENCODING_SPLIT_SUM)
+
+
+def test_witness_direct_rejects_unrelated_earlier_eq():
+    inst = Instance((9, 4), 9)
+    trace = [CompareEvent(9, 9, Ordering.EQ), CompareEvent(4, 9, Ordering.LT),
+             EmitEvent(0b01)]
+    assert not solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+    trace = [CompareEvent(0, 9, Ordering.LT), CompareEvent(9, 9, Ordering.EQ),
+             EmitEvent(0b01)]
+    assert solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+
+
+def test_witness_rejects_eq_with_unequal_operands():
+    inst = Instance((9, 4), 9)
+    trace = [CompareEvent(4, 9, Ordering.EQ), EmitEvent(0b10)]
     assert not solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import oracle_matching_masks, oracle_solvable, simulate_mitm_scan
 import subsum
 from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
-                    EmitEvent, Half, HalfSumEntry, Instance, Mode,
+                    EmitEvent, Half, HalfSumEntry, Instance, Mode, Ordering,
                     brute_force_solve, dp_solve, dump_trace, gen_powers_of_two,
                     gen_random_wide, half_sums, mitm_solve,
                     solution_witness_check, subset_sum, verify)
@@ -105,6 +106,27 @@ def test_brute_lowest_mask_across_blocks(inst):
     assert res.compare_count == visited
     assert res.elementary_ops == 2 * visited
     assert res.peak_sorted_len == 1
+
+
+def reference_brute_trace(inst):
+    """brute's FULL_TRACE events, one record_compare call per visited mask."""
+    led = ComparisonLedger(Mode.FULL_TRACE)
+    for mask in range(1 << inst.n):
+        if led.record_compare(subset_sum(inst, mask), inst.target) is Ordering.EQ:
+            led.emit(mask)
+            break
+    return led.trace
+
+
+@given(small_instances(max_n=12, magnitude=2, min_n=5), st.sampled_from([0, 1, 2, 3, 10]))
+@settings(max_examples=150)
+def test_brute_bulk_trace_matches_per_mask_reference(inst, bits):
+    # Small blocks and ties in [-2, 2] put most hits in a later block, after
+    # earlier blocks that hold the same sums.
+    with mock.patch.object(subsum.solvers, "BRUTE_BLOCK_BITS", bits):
+        led = ComparisonLedger(Mode.FULL_TRACE)
+        brute_force_solve(inst, led)
+    assert led.trace == reference_brute_trace(inst)
 
 
 def test_brute_memory_flat_in_n():
