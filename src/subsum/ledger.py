@@ -68,6 +68,8 @@ class EmitEvent(NamedTuple):
     mask: int
 
 
+_EVENT_TYPES = frozenset((CompareEvent, SortedListEvent, EmitEvent))
+
 # Indexed by rhs > lhs: an unequal pair is GT (False) or LT (True).
 _MISS_OUTCOMES = (Ordering.GT, Ordering.LT)
 
@@ -158,26 +160,15 @@ def dump_trace(trace) -> str:
     # One comprehension per run of same-typed events. An outcome's text is
     # its _value_, a plain attribute; .value is a Python-level property.
     for kind, run in groupby(trace, type):
-        if kind is CompareEvent:
+        if issubclass(kind, CompareEvent):
             parts += [f"CMP {lhs} {rhs} {outcome._value_}\n" for lhs, rhs, outcome in run]
-        elif kind is SortedListEvent:
+        elif issubclass(kind, SortedListEvent):
             parts += [f"LIST {event.length}\n" for event in run]
-        elif kind is EmitEvent:
+        elif issubclass(kind, EmitEvent):
             parts += [f"EMIT {event.mask:x}\n" for event in run]
         else:
-            parts += map(_dump_event, run)
+            raise TraceError(f"unknown event {next(run)!r}")
     return "".join(parts)
-
-
-def _dump_event(event) -> str:
-    """One record for an event of any type, subclasses of the events included."""
-    if isinstance(event, CompareEvent):
-        return f"CMP {event.lhs} {event.rhs} {event.outcome.value}\n"
-    if isinstance(event, SortedListEvent):
-        return f"LIST {event.length}\n"
-    if isinstance(event, EmitEvent):
-        return f"EMIT {event.mask:x}\n"
-    raise TraceError(f"unknown event {event!r}")
 
 
 # One record per line, exactly as dump_trace writes it. ASCII classes, not
@@ -280,7 +271,7 @@ def _witnesses(event, instance: Instance, mask: int, encoding: str) -> bool:
     ENCODING_SPLIT_SUM (front sum, target - back sum), the front being
     elements [0, ceil(n/2)) as in mitm_solve.
     """
-    if (type(event) is not CompareEvent or event.outcome is not Ordering.EQ
+    if (not isinstance(event, CompareEvent) or event.outcome is not Ordering.EQ
             or event.lhs != event.rhs):
         return False
     target = instance.target
@@ -303,8 +294,12 @@ def solution_witness_check(trace, instance: Instance,
     """
     if encoding not in (ENCODING_SUM_VS_TARGET, ENCODING_SPLIT_SUM):
         raise ValueError(f"unknown encoding {encoding!r}")
-    events = list(trace)
+    events = trace if isinstance(trace, list) else list(trace)
     kinds = list(map(type, events))
+    if not _EVENT_TYPES.issuperset(kinds):
+        # A subclass of EmitEvent is an emission too, as in dump_trace.
+        kinds = [EmitEvent if isinstance(event, EmitEvent) else type(event)
+                 for event in events]
     emits = kinds.count(EmitEvent)
     if not emits:
         return True
