@@ -92,12 +92,14 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
                            step: int, trials: int, master_seed: int,
                            csv_path=None, *, planted_size: int | None = None,
                            force: bool = False) -> list[ExperimentRecord]:
-    """One record per (n, trial); optionally written to a fresh CSV file.
+    """One record per (n, trial), in order; optionally written to a fresh CSV file.
 
     Per-row seeds are derived statelessly from (master_seed, n, trial), so
     the rows a run produces never depend on which other rows ran. A row
     whose solver cap is exceeded is skipped with a warning on stderr.
     """
+    if planted_size is not None and family != FAMILY_PLANTED:
+        raise ValueError("planted_size is only valid for the planted family")
     if step < 1:
         raise ValueError("step must be >= 1")
     if trials < 1:
@@ -123,7 +125,6 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
                 elementary_ops=result.elementary_ops,
                 wall_time=round(elapsed, 6),  # matches the CSV's precision
             ))
-    records.sort(key=lambda r: (r.n, r.trial))
     if csv_path is not None:
         write_records_csv(records, csv_path, force=force)
     return records

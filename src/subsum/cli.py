@@ -15,9 +15,9 @@ import sys
 
 from .bench import (BENCH_ALGOS, fit_growth, group_records, read_records_csv,
                     run_scaling_experiment)
-from .generators import (FAMILIES, FAMILY_PLANTED, GeneratorSpec, dumps_meta,
-                         generate)
-from .ledger import ComparisonLedger, Mode, dump_trace, tradeoff_report
+from .generators import FAMILIES, GeneratorSpec, dumps_meta, generate
+from .ledger import (FULL_TRACE_MAX_N, ComparisonLedger, Mode, dump_trace,
+                     tradeoff_report)
 from .model import (InstanceFormatError, read_instance, subset_sum, verify,
                     write_instance)
 from .solvers import CapExceededError, brute_force_solve, dp_solve, mitm_solve
@@ -64,8 +64,7 @@ def cmd_solve(args) -> int:
         solution = dp_solve(instance)
         ledger = ComparisonLedger()
     else:
-        mode = Mode.FULL_TRACE if args.trace else Mode.COUNTERS_ONLY
-        ledger = ComparisonLedger(mode)
+        ledger = ComparisonLedger(Mode.FULL_TRACE if args.trace else Mode.COUNTERS_ONLY)
         solver = brute_force_solve if args.algo == "brute" else mitm_solve
         solution = solver(instance, ledger).solution
         if args.trace:
@@ -80,8 +79,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.size is not None and args.family != FAMILY_PLANTED:
-        raise CliError("--size is only valid with --family planted")
     records = run_scaling_experiment(
         args.algo, args.family, args.n_min, args.n_max, args.step,
         args.trials, args.seed, csv_path=args.out,
@@ -152,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--algo", required=True, choices=SOLVE_ALGOS)
     p.add_argument("--trace", default=None,
-                   help="write a full event trace to this path (n <= 24)")
+                   help=f"write a full event trace to this path (n <= {FULL_TRACE_MAX_N})")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run a scaling experiment to CSV")

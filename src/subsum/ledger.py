@@ -12,11 +12,11 @@ The charging model is fixed so that runs are comparable across machines:
   +1 per comparison, +1 per candidate sum generated, +k per sorted-list
   build of k entries, +ceil(k * log2(k)) per sort of k entries.
 
-A ledger is single-writer: one solver run owns one ledger. In FULL_TRACE
-mode every charged comparison, sorted-list build, and solution emission is
-also recorded as an event; dump_trace and parse_trace convert events to
-and from the line format, and solution_witness_check replays them.
-FULL_TRACE is refused above n = 24 to bound memory.
+A ledger is single-writer: one solver run owns one ledger. A ledger whose
+trace is a list (FULL_TRACE mode) records each charged comparison, sorted
+list build, and solution emission as an event; dump_trace and parse_trace
+convert events to and from the line format, and solution_witness_check
+replays them. Solvers refuse a tracing ledger above n = FULL_TRACE_MAX_N.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ FULL_TRACE_MAX_N = 24
 # pair whose equality it determines.
 ENCODING_SUM_VS_TARGET = "sum_vs_target"
 ENCODING_SPLIT_SUM = "front_sum_vs_target_minus_back_sum"
+
+
+def front_size(n: int) -> int:
+    """Front-half length of the split-sum layout: elements [0, ceil(n/2))."""
+    return (n + 1) // 2
 
 
 class TraceError(ValueError):
@@ -84,11 +89,10 @@ def sort_charge(length: int) -> int:
 class ComparisonLedger:
     """Counters plus optional event trace for one solver run."""
 
-    __slots__ = ("mode", "compare_count", "elementary_ops", "peak_sorted_len",
+    __slots__ = ("compare_count", "elementary_ops", "peak_sorted_len",
                  "trace", "encoding")
 
     def __init__(self, mode: Mode = Mode.COUNTERS_ONLY):
-        self.mode = mode
         self.compare_count = 0
         self.elementary_ops = 0
         self.peak_sorted_len = 1
@@ -269,7 +273,7 @@ def _witnesses(event, instance: Instance, mask: int, encoding: str) -> bool:
     The operands must be equal and must be the ones the solver compares
     for this mask: under ENCODING_SUM_VS_TARGET (subset sum, target); under
     ENCODING_SPLIT_SUM (front sum, target - back sum), the front being
-    elements [0, ceil(n/2)) as in mitm_solve.
+    elements [0, front_size(n)).
     """
     if (not isinstance(event, CompareEvent) or event.outcome is not Ordering.EQ
             or event.lhs != event.rhs):
@@ -277,7 +281,7 @@ def _witnesses(event, instance: Instance, mask: int, encoding: str) -> bool:
     target = instance.target
     if encoding == ENCODING_SUM_VS_TARGET:
         return event.rhs == target and event.lhs == subset_sum(instance, mask)
-    front = mask & ((1 << (instance.n + 1) // 2) - 1)
+    front = mask & ((1 << front_size(instance.n)) - 1)
     return (event.lhs == subset_sum(instance, front)
             and target - event.rhs == subset_sum(instance, mask ^ front))
 

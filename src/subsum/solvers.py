@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
-                     FULL_TRACE_MAX_N, ComparisonLedger, Mode)
+                     FULL_TRACE_MAX_N, ComparisonLedger, front_size)
 from .model import Instance, all_subset_sums, verify
 
 BRUTE_FORCE_MAX_N = 30
@@ -69,10 +69,18 @@ def _result(instance: Instance, ledger: ComparisonLedger, solution) -> SolveResu
                        ledger.elementary_ops)
 
 
-def _check_trace_cap(instance: Instance, ledger: ComparisonLedger) -> None:
-    if ledger.mode is Mode.FULL_TRACE and instance.n > FULL_TRACE_MAX_N:
+def _start_run(instance: Instance, ledger: ComparisonLedger | None, encoding: str,
+               solver: str, max_n: int) -> ComparisonLedger:
+    """The run's ledger, fresh if None; refuses n past the solver or trace cap."""
+    if instance.n > max_n:
+        raise CapExceededError(f"{solver} is capped at n={max_n}, got n={instance.n}")
+    if ledger is None:
+        ledger = ComparisonLedger()
+    elif ledger.trace is not None and instance.n > FULL_TRACE_MAX_N:
         raise CapExceededError(
             f"full tracing is capped at n={FULL_TRACE_MAX_N}, got n={instance.n}")
+    ledger.encoding = encoding
+    return ledger
 
 
 def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None,
@@ -88,16 +96,10 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
     mask wins. The low list is unsorted and holds at most 2^BRUTE_BLOCK_BITS
     entries, so no sorted list is built and the ledger's peak stays at its
     floor of 1. On an unsolvable instance the comparison count is exactly
-    2^n. In FULL_TRACE mode every visited mask records one event, in
-    ascending mask order.
+    2^n. A tracing ledger records one event per visited mask, in ascending
+    mask order.
     """
-    if instance.n > max_n:
-        raise CapExceededError(
-            f"brute force is capped at n={max_n}, got n={instance.n}")
-    if ledger is None:
-        ledger = ComparisonLedger()
-    _check_trace_cap(instance, ledger)
-    ledger.encoding = ENCODING_SUM_VS_TARGET
+    ledger = _start_run(instance, ledger, ENCODING_SUM_VS_TARGET, "brute force", max_n)
 
     target = instance.target
     # Mask h * 2^k + l sums to low[l] + offset(h). list.index returns the
@@ -137,15 +139,19 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
     return _result(instance, ledger, solution)
 
 
-def _half_list(instance: Instance, start: int, stop: int,
-               ledger: ComparisonLedger, max_entries: int) -> list[int]:
-    """Subset sums of elements[start:stop]; entry k is the sum of relative mask k."""
+def _half_list(instance: Instance, half: Half, ledger: ComparisonLedger,
+               max_entries: int) -> tuple[int, list[int]]:
+    """(start, sums) for one half: sums[k] is the sum of mask k << start."""
+    if not isinstance(half, Half):
+        raise TypeError(f"half must be a Half, got {half!r}")
+    split = front_size(instance.n)
+    start, stop = (0, split) if half is Half.FRONT else (split, instance.n)
     if (1 << (stop - start)) > max_entries:
         raise CapExceededError(
             f"half list would hold 2^{stop - start} entries, cap is {max_entries}")
     sums = all_subset_sums(instance.elements[start:stop])
     ledger.charge_generated(len(sums))
-    return sums
+    return start, sums
 
 
 def half_sums(instance: Instance, half: Half,
@@ -160,9 +166,7 @@ def half_sums(instance: Instance, half: Half,
     """
     if ledger is None:
         ledger = ComparisonLedger()
-    split = (instance.n + 1) // 2
-    start, stop = (0, split) if half is Half.FRONT else (split, instance.n)
-    sums = _half_list(instance, start, stop, ledger, max_entries)
+    start, sums = _half_list(instance, half, ledger, max_entries)
     return [HalfSumEntry(total, k << start) for k, total in enumerate(sums)]
 
 
@@ -180,18 +184,11 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
     index of its sum, so the smallest front mask, then the smallest back
     mask, wins at the first crossing value.
     """
-    if instance.n > max_n:
-        raise CapExceededError(
-            f"meet-in-the-middle is capped at n={max_n}, got n={instance.n}")
-    if ledger is None:
-        ledger = ComparisonLedger()
-    _check_trace_cap(instance, ledger)
-    ledger.encoding = ENCODING_SPLIT_SUM
+    ledger = _start_run(instance, ledger, ENCODING_SPLIT_SUM, "meet-in-the-middle", max_n)
 
     target = instance.target
-    split = (instance.n + 1) // 2
-    front = _half_list(instance, 0, split, ledger, max_entries)
-    back = _half_list(instance, split, instance.n, ledger, max_entries)
+    _, front = _half_list(instance, Half.FRONT, ledger, max_entries)
+    split, back = _half_list(instance, Half.BACK, ledger, max_entries)
     lo = sorted(front)
     hi = sorted([target - s for s in back])
     ledger.record_sorted_list(len(lo))

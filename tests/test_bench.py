@@ -93,6 +93,14 @@ def test_planted_size_above_n_skips_row(tmp_path, capsys):
     assert "skipping n=4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["powers2", "random"])
+def test_planted_size_refused_for_other_families(tmp_path, family):
+    with pytest.raises(ValueError, match="planted"):
+        run_scaling_experiment("mitm", family, 4, 6, 1, 1, 5,
+                               tmp_path / "x.csv", planted_size=2)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cap_exceeded_rows_skipped(tmp_path, capsys, monkeypatch):
     import subsum.bench as bench_mod
     real = bench_mod.brute_force_solve

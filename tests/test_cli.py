@@ -224,6 +224,14 @@ def test_bench_refuses_existing_csv(tmp_path, capsys):
                    "--force") == 0
 
 
+def test_bench_size_outside_planted_rejected(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli("bench", "--algo", "mitm", "--family", "random", "--n-min", "4",
+                   "--n-max", "7", "--size", "2", "--out", str(out)) == 2
+    assert "planted" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_flags_violation_row(tmp_path, capsys):
     path = tmp_path / "v.csv"
     rows = ["n,family,algo,seed,trial,C,M,T,wall_time"]

@@ -16,9 +16,9 @@ from conftest import oracle_matching_masks, oracle_solvable, simulate_mitm_scan
 import subsum
 from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
                     EmitEvent, Half, HalfSumEntry, Instance, Mode, Ordering,
-                    brute_force_solve, dp_solve, dump_trace, gen_powers_of_two,
-                    gen_random_wide, half_sums, mitm_solve,
-                    solution_witness_check, subset_sum, verify)
+                    SplitMix64, brute_force_solve, derive_seed, dp_solve,
+                    dump_trace, gen_powers_of_two, gen_random_wide, half_sums,
+                    mitm_solve, solution_witness_check, subset_sum, verify)
 from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET
 
 
@@ -82,6 +82,18 @@ def test_full_trace_cap_refusal():
     for solver in (brute_force_solve, mitm_solve):
         with pytest.raises(CapExceededError, match="24"):
             solver(inst, ComparisonLedger(Mode.FULL_TRACE))
+
+
+def test_trace_cap_applies_to_any_tracing_ledger():
+    # The cap keys on the ledger recording a trace, however it came to.
+    # Target 0 is hit by the first mask, so an uncapped run stays small.
+    inst = Instance((1,) * 25, 0)
+    for solver in (brute_force_solve, mitm_solve):
+        led = ComparisonLedger()
+        led.trace = []
+        with pytest.raises(CapExceededError, match="24"):
+            solver(inst, led)
+        assert led.trace == []
 
 
 @given(st.integers(0, 10), st.lists(st.integers(-20, 20), max_size=14))
@@ -174,6 +186,12 @@ def test_half_sums_cap_refusal():
     inst = Instance((1, 2, 3, 4, 5, 6), 0)
     with pytest.raises(CapExceededError, match="cap"):
         half_sums(inst, Half.FRONT, max_entries=4)
+
+
+@pytest.mark.parametrize("half", ["front", "back", None, 0])
+def test_half_sums_rejects_non_half(half):
+    with pytest.raises(TypeError, match="Half"):
+        half_sums(Instance((1, 2, 4), 0), half)
 
 
 @given(small_instances(max_n=10))
@@ -406,6 +424,35 @@ def test_golden_traces():
     assert brute_force_solve(wide, blocks).solution == 0b111000000000
     assert hashlib.sha256(dump_trace(blocks.trace).encode()).hexdigest() == (
         "b5b4ab9b41ffc49972fcee7e44ddebaab153b9c0a56a4f3628ef9ab26df6662a")
+
+
+def test_behaviour_digest():
+    # sha256 over masks, C/M/T, trace dumps and witness verdicts of both
+    # solvers in both modes, on fixed instances with ties (n <= 12, elements
+    # in [-6, 6], planted and free targets). Any behaviour change moves it.
+    digest = hashlib.sha256()
+    for k in range(1000):
+        rng = SplitMix64(derive_seed(2006, k))
+        n = rng.next_below(13)
+        elements = tuple(rng.next_in_range(-6, 6) for _ in range(n))
+        if rng.next_below(2):
+            mask = rng.next_below(1 << n)
+            target = sum(a for i, a in enumerate(elements) if mask >> i & 1)
+        else:
+            target = rng.next_in_range(-6 * n, 6 * n)
+        inst = Instance(elements, target)
+        for solver in (brute_force_solve, mitm_solve):
+            for mode in Mode:
+                led = ComparisonLedger(mode)
+                res = solver(inst, led)
+                digest.update(repr((res.solution, res.compare_count,
+                                    res.peak_sorted_len, res.elementary_ops)).encode())
+                if led.trace is not None:
+                    digest.update(dump_trace(led.trace).encode())
+                    verdict = solution_witness_check(led.trace, inst, led.encoding)
+                    digest.update(repr(verdict).encode())
+    assert digest.hexdigest() == (
+        "8950b41eb04bb05da9f9867db4f96d47458d4b3bfc16384c24633322bb6f2886")
 
 
 class CallCountingLedger(ComparisonLedger):
