@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .generators import (FAMILY_PLANTED, FAMILY_POWERS2, FAMILY_RANDOM,
+from .generators import (FAMILY_POWERS2, FAMILY_RANDOM, GeneratorSpec,
                          gen_planted, gen_powers_of_two, gen_random_wide)
 from .ledger import ComparisonLedger
 from .model import Instance
@@ -72,12 +72,9 @@ def _build_instance(family: str, n: int, seed: int, planted_size: int | None) ->
         return gen_powers_of_two(n)
     if family == FAMILY_RANDOM:
         return gen_random_wide(n, seed)
-    if family == FAMILY_PLANTED:
-        size = planted_size if planted_size is not None else n // 2
-        if size > n:
-            raise CapExceededError(f"planted size {size} exceeds n={n}")
-        return gen_planted(n, seed, size)[0]
-    raise ValueError(f"unknown family {family!r}")
+    if planted_size is not None and planted_size > n:
+        raise CapExceededError(f"planted size {planted_size} exceeds n={n}")
+    return gen_planted(n, seed, planted_size)[0]
 
 
 def _solver_for(algo: str):
@@ -96,10 +93,13 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
 
     Per-row seeds are derived statelessly from (master_seed, n, trial), so
     the rows a run produces never depend on which other rows ran. A row
-    whose solver cap is exceeded is skipped with a warning on stderr.
+    whose solver cap is exceeded, or that is smaller than planted_size, is
+    skipped with a warning on stderr. The grid is refused before any row
+    runs unless GeneratorSpec accepts it at n_max and 0 <= n_min <= n_max.
     """
-    if planted_size is not None and family != FAMILY_PLANTED:
-        raise ValueError("planted_size is only valid for the planted family")
+    GeneratorSpec(family, n_max, master_seed, planted_size)
+    if not 0 <= n_min <= n_max:
+        raise ValueError(f"need 0 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     if step < 1:
         raise ValueError("step must be >= 1")
     if trials < 1:

@@ -94,15 +94,13 @@ def cmd_report(args) -> int:
     groups = group_records(records)
     any_tm_violation = False
     for (algo, family), rows in sorted(groups.items()):
-        distinct_n = len({r.n for r in rows})
-        if distinct_n < 4:
-            raise CliError(f"group algo={algo} family={family} has only "
-                           f"{distinct_n} distinct n values, need at least 4")
+        # Header first: if fit_growth refuses the group, stdout ends naming it.
+        print(f"group algo={algo} family={family} rows={len(rows)} "
+              f"distinct_n={len({r.n for r in rows})}")
         fit_c = fit_growth((r.n, r.compare_count) for r in rows)
         fit_t = fit_growth((r.n, r.elementary_ops) for r in rows)
         report = tradeoff_report(rows)
         any_tm_violation |= bool(report.t_ge_m_violations)
-        print(f"group algo={algo} family={family} rows={len(rows)} distinct_n={distinct_n}")
         print(f"  log2(C) vs n: slope={fit_c.slope:.4f} "
               f"intercept={fit_c.intercept:.4f} rmse={fit_c.residual:.4f}")
         print(f"  log2(T) vs n: slope={fit_t.slope:.4f} "

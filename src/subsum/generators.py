@@ -100,14 +100,16 @@ def gen_random_wide(n: int, seed: int) -> Instance:
             return Instance(elements, target)
 
 
-def gen_planted(n: int, seed: int, planted_size: int) -> tuple[Instance, int]:
+def gen_planted(n: int, seed: int, planted_size: int | None = None) -> tuple[Instance, int]:
     """Instance whose target is the sum of a random subset of the given size.
 
-    Elements are drawn exactly like the random family (including the
-    distinctness retry); the subset is a uniform size-k index set chosen by
-    partial Fisher-Yates over the same stream. Returns the instance and the
-    planted mask, which always verifies.
+    The size defaults to n // 2. Elements are drawn exactly like the random
+    family (including the distinctness retry); the subset is a uniform
+    size-k index set chosen by partial Fisher-Yates over the same stream.
+    Returns the instance and the planted mask, which always verifies.
     """
+    if planted_size is None:
+        planted_size = n // 2
     if not 0 <= planted_size <= n:
         raise ValueError(f"planted_size must be in [0, {n}]")
     rng = SplitMix64(seed)
@@ -138,8 +140,7 @@ def generate(spec: GeneratorSpec) -> tuple[Instance, InstanceMeta]:
         meta = InstanceMeta(spec.family, spec.seed,
                             spec.n <= DISTINCT_VERIFY_MAX_N, None)
     else:
-        size = spec.planted_size if spec.planted_size is not None else spec.n // 2
-        instance, mask = gen_planted(spec.n, spec.seed, size)
+        instance, mask = gen_planted(spec.n, spec.seed, spec.planted_size)
         meta = InstanceMeta(spec.family, spec.seed,
                             spec.n <= DISTINCT_VERIFY_MAX_N, mask)
     return instance, meta

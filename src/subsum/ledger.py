@@ -175,16 +175,14 @@ def dump_trace(trace) -> str:
     return "".join(parts)
 
 
-# One record per line, exactly as dump_trace writes it. ASCII classes, not
-# \d, so that no other script's digits parse.
-_TRACE_LINE_RE = re.compile(
-    r"CMP (-?[0-9]+) (-?[0-9]+) (EQ|LT|GT)|LIST ([0-9]+)|EMIT ([0-9a-f]+)")
-# The same records, each ending in "\n", repeated over a chunk. No groups:
-# sre saves their marks on every repetition. It still keeps one backtrack
-# frame per repetition, so a match covers about _CHUNK_CHARS rather than
-# the whole text; a possessive *+ would avoid that but needs Python 3.11.
-_CHUNK_RE = re.compile(r"(?:(?:CMP -?[0-9]+ -?[0-9]+ (?:EQ|LT|GT)"
-                       r"|LIST [0-9]+|EMIT [0-9a-f]+)\n)*")
+# One record, exactly as dump_trace writes it, without its "\n". ASCII
+# classes, not \d, so that no other script's digits parse. No capturing
+# groups: sre saves their marks on every repetition of _CHUNK_RE.
+_RECORD = r"CMP -?[0-9]+ -?[0-9]+ (?:EQ|LT|GT)|LIST [0-9]+|EMIT [0-9a-f]+"
+# Records, each ending in "\n", repeated over a chunk. sre keeps a backtrack
+# frame per repetition, so a match covers about _CHUNK_CHARS, not the whole
+# text; a possessive *+ would avoid that but needs Python 3.11.
+_CHUNK_RE = re.compile(rf"(?:(?:{_RECORD})\n)*")
 # In a chunk that matched, every record that is not LIST or EMIT is a CMP.
 _OTHER_RECORD_RE = re.compile(r"^(LIST|EMIT) ([0-9a-f]+)\n", re.MULTILINE)
 _CHUNK_CHARS = 1 << 15
@@ -248,20 +246,21 @@ def _extend_compares(events: list, records: str) -> None:
 def _parse_lines(text: str) -> list:
     """The per-line parser: every line that parse_trace accepts, and its errors."""
     events = []
+    is_record = re.compile(_RECORD).fullmatch
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        match = _TRACE_LINE_RE.fullmatch(line)
-        if match is None:
+        if is_record(line) is None:
             raise TraceError(f"line {lineno}: malformed record {line!r}")
-        lhs, rhs, code, length, mask = match.groups()
+        kind, _, value = line.partition(" ")
         try:
-            if code is not None:
+            if kind == "CMP":
+                lhs, rhs, code = value.split(" ")
                 events.append(CompareEvent(int(lhs), int(rhs), _ORDERINGS[code]))
-            elif length is not None:
-                events.append(SortedListEvent(int(length)))
+            elif kind == "LIST":
+                events.append(SortedListEvent(int(value)))
             else:
-                events.append(EmitEvent(int(mask, 16)))
+                events.append(EmitEvent(int(value, 16)))
         except ValueError as exc:  # a decimal past the interpreter's digit limit
             raise TraceError(f"line {lineno}: {exc}") from exc
     return events

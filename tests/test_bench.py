@@ -101,6 +101,35 @@ def test_planted_size_refused_for_other_families(tmp_path, family):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("master_seed", [-1, 1 << 64])
+def test_master_seed_outside_64_bits_refused(tmp_path, master_seed):
+    with pytest.raises(ValueError, match="seed"):
+        run_scaling_experiment("mitm", "powers2", 4, 6, 1, 1, master_seed,
+                               tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_unknown_family_refused_on_empty_grid():
+    with pytest.raises(ValueError, match="unknown family"):
+        run_scaling_experiment("mitm", "nope", 5, 4, 1, 1, 0)
+
+
+@pytest.mark.parametrize("size", [7, -1])
+def test_planted_size_no_row_fits_refused(tmp_path, size):
+    with pytest.raises(ValueError, match=r"planted_size must be in \[0, 6\]"):
+        run_scaling_experiment("mitm", "planted", 4, 6, 1, 1, 5,
+                               tmp_path / "x.csv", planted_size=size)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("n_min, n_max", [(8, 4), (-1, 4)])
+def test_empty_or_negative_grid_refused(tmp_path, n_min, n_max):
+    with pytest.raises(ValueError, match="n_min"):
+        run_scaling_experiment("mitm", "powers2", n_min, n_max, 1, 1, 0,
+                               tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cap_exceeded_rows_skipped(tmp_path, capsys, monkeypatch):
     import subsum.bench as bench_mod
     real = bench_mod.brute_force_solve

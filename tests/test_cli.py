@@ -1,11 +1,16 @@
 """End-to-end CLI behavior: output formats, files, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import subsum
 from subsum import (Instance, parse_trace, read_instance,
-                    solution_witness_check, verify, write_instance)
+                    run_scaling_experiment, solution_witness_check, verify,
+                    write_instance, write_records_csv)
 from subsum.cli import build_parser, main, meta_path_for
 from subsum.ledger import ENCODING_SUM_VS_TARGET
 
@@ -265,6 +270,27 @@ def test_report_too_few_points(tmp_path, capsys):
     assert "distinct n" in capsys.readouterr().err
 
 
+def test_report_names_the_group_it_cannot_fit(tmp_path, capsys):
+    path = tmp_path / "mixed.csv"
+    records = (run_scaling_experiment("brute", "powers2", 4, 7, 1, 1, 0)
+               + run_scaling_experiment("mitm", "powers2", 4, 6, 1, 1, 0))
+    write_records_csv(records, path)
+    assert run_cli("report", "--csv", str(path)) == 2
+    captured = capsys.readouterr()
+    assert "distinct n" in captured.err
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("group algo=brute family=powers2 ")
+    assert lines[-1] == "group algo=mitm family=powers2 rows=3 distinct_n=3"
+
+
+def test_bench_empty_grid_rejected(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert run_cli("bench", "--algo", "mitm", "--family", "powers2",
+                   "--n-min", "8", "--n-max", "4", "--out", str(out)) == 2
+    assert "n_min" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_missing_csv(tmp_path):
     assert run_cli("report", "--csv", str(tmp_path / "none.csv")) == 2
 
@@ -285,3 +311,23 @@ def test_parser_built_once_and_reused(tmp_path, capsys):
     assert run_cli("check", "--in", str(inst), "--mask", "3") == 0
     assert run_cli("check", "--in", str(inst), "--mask", "1") == 1
     assert capsys.readouterr().out.splitlines() == ["MATCH 3 8", "NOMATCH 1 3"]
+
+
+def test_readme_cli_example_as_a_subprocess(tmp_path):
+    src = os.path.dirname(os.path.dirname(subsum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def subsum_cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "subsum", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stdout.splitlines()
+
+    assert subsum_cli("gen", "--family", "powers2", "--n", "10", "--out", "w10.json")[0] == 0
+    assert subsum_cli("solve", "--in", "w10.json", "--algo", "brute") == (
+        1, ["NOSOLUTION", "C=1024 M=1 T=2048"])
+    assert subsum_cli("gen", "--family", "planted", "--n", "16", "--seed", "3",
+                      "--size", "5", "--out", "p.json")[0] == 0
+    assert subsum_cli("solve", "--in", "p.json", "--algo", "mitm") == (
+        0, ["SOLUTION 465 14361638014", "C=364 M=256 T=5484"])
+    assert subsum_cli("check", "--in", "p.json", "--mask", "465") == (
+        0, ["MATCH 465 14361638014"])

@@ -88,6 +88,11 @@ def test_planted_deterministic():
     assert gen_planted(12, 5, 4) == gen_planted(12, 5, 4)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 12])
+def test_planted_size_defaults_to_half_n(n):
+    assert gen_planted(n, 9) == gen_planted(n, 9, n // 2)
+
+
 def test_planted_full_size():
     inst, mask = gen_planted(6, 2, 6)
     assert mask == 0b111111
