@@ -9,7 +9,9 @@ fits slope 1.0 and one proportional to sqrt(2^n) fits slope 0.5.
 from __future__ import annotations
 
 import csv
+import errno
 import math
+import os
 import statistics
 import sys
 import time
@@ -95,7 +97,8 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
     the rows a run produces never depend on which other rows ran. A row
     whose solver cap is exceeded, or that is smaller than planted_size, is
     skipped with a warning on stderr. The grid is refused before any row
-    runs unless GeneratorSpec accepts it at n_max and 0 <= n_min <= n_max.
+    runs unless GeneratorSpec accepts it at n_max and 0 <= n_min <= n_max,
+    and so is an existing csv_path unless force is set.
     """
     GeneratorSpec(family, n_max, master_seed, planted_size)
     if not 0 <= n_min <= n_max:
@@ -105,6 +108,8 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     solver = _solver_for(algo)
+    if csv_path is not None and not force and os.path.lexists(csv_path):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(csv_path))
     records = []
     for n in range(n_min, n_max + 1, step):
         for trial in range(trials):

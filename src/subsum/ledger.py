@@ -73,8 +73,6 @@ class EmitEvent(NamedTuple):
     mask: int
 
 
-_EVENT_TYPES = frozenset((CompareEvent, SortedListEvent, EmitEvent))
-
 # Indexed by rhs > lhs: an unequal pair is GT (False) or LT (True).
 _MISS_OUTCOMES = (Ordering.GT, Ordering.LT)
 
@@ -179,12 +177,8 @@ def dump_trace(trace) -> str:
 # classes, not \d, so that no other script's digits parse. No capturing
 # groups: sre saves their marks on every repetition of _CHUNK_RE.
 _RECORD = r"CMP -?[0-9]+ -?[0-9]+ (?:EQ|LT|GT)|LIST [0-9]+|EMIT [0-9a-f]+"
-# Records, each ending in "\n", repeated over a chunk. sre keeps a backtrack
-# frame per repetition, so a match covers about _CHUNK_CHARS, not the whole
-# text; a possessive *+ would avoid that but needs Python 3.11.
+# Records, each ending in "\n", repeated over a chunk of the text.
 _CHUNK_RE = re.compile(rf"(?:(?:{_RECORD})\n)*")
-# In a chunk that matched, every record that is not LIST or EMIT is a CMP.
-_OTHER_RECORD_RE = re.compile(r"^(LIST|EMIT) ([0-9a-f]+)\n", re.MULTILINE)
 _CHUNK_CHARS = 1 << 15
 _ORDERINGS = {ordering.value: ordering for ordering in Ordering}
 
@@ -198,40 +192,32 @@ def parse_trace(text: str) -> list:
     whitespace-only lines are skipped. Any other line raises TraceError
     naming its line number, as does a decimal past the interpreter's
     int-to-str digit limit.
-    """
-    events = _parse_dump(text)
-    return _parse_lines(text) if events is None else events
 
-
-def _parse_dump(text: str) -> list | None:
-    """Fast path for text exactly as dump_trace writes it, else None.
-
-    Text is taken in chunks of about _CHUNK_CHARS cut after a newline.
-    Each chunk is validated by one regex match and then converted column
-    by column, so no per-line Python code runs. None means the text needs
-    the per-line parser: a chunk did not match (blank lines, other line
-    breaks, no final newline, a malformed record) or a decimal was past
-    the digit limit.
+    Each chunk of about _CHUNK_CHARS, cut after a newline, is validated by
+    one _CHUNK_RE match: sre keeps a backtrack frame per repetition, so one
+    match over a 16k-line dump peaks near 7 MB, and chunks keep it under
+    3 MB. CMP-only chunks are decoded column by column. A chunk holding a
+    LIST or EMIT record, and the rest of the text from a chunk that fails
+    validation or holds a decimal past the digit limit, go through the
+    per-line parser.
     """
     events = []
-    start, size = 0, len(text)
-    try:
-        while start < size:
-            stop = text.find("\n", start + _CHUNK_CHARS) + 1 or size
-            chunk = text[start:stop]
-            if _CHUNK_RE.fullmatch(chunk) is None:
-                return None
-            pos = 0
-            for match in _OTHER_RECORD_RE.finditer(chunk):
-                _extend_compares(events, chunk[pos:match.start()])
-                kind, value = match.groups()
-                events.append(SortedListEvent(int(value)) if kind == "LIST"
-                              else EmitEvent(int(value, 16)))
-                pos = match.end()
-            _extend_compares(events, chunk[pos:])
-            start = stop
-    except ValueError:
-        return None
+    start, size, lineno = 0, len(text), 1
+    while start < size:
+        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or size
+        chunk = text[start:stop]
+        if _CHUNK_RE.fullmatch(chunk) is None:
+            break
+        if "LIST " in chunk or "EMIT " in chunk:
+            events += _parse_lines(chunk, lineno)
+        else:
+            try:
+                _extend_compares(events, chunk)
+            except ValueError:  # a decimal past the digit limit
+                break  # the per-line parser raises it, naming its line
+        lineno += chunk.count("\n")
+        start = stop
+    events += _parse_lines(text[start:], lineno)
     return events
 
 
@@ -243,11 +229,14 @@ def _extend_compares(events: list, records: str) -> None:
                           map(_ORDERINGS.__getitem__, tokens[3::4]))))
 
 
-def _parse_lines(text: str) -> list:
-    """The per-line parser: every line that parse_trace accepts, and its errors."""
+def _parse_lines(text: str, first_lineno: int = 1) -> list:
+    """The per-line parser: every line that parse_trace accepts, and its errors.
+
+    Error messages number the lines from first_lineno.
+    """
     events = []
     is_record = re.compile(_RECORD).fullmatch
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), first_lineno):
         if not line.strip():
             continue
         if is_record(line) is None:
@@ -298,21 +287,17 @@ def solution_witness_check(trace, instance: Instance,
     if encoding not in (ENCODING_SUM_VS_TARGET, ENCODING_SPLIT_SUM):
         raise ValueError(f"unknown encoding {encoding!r}")
     events = trace if isinstance(trace, list) else list(trace)
-    kinds = list(map(type, events))
-    if not _EVENT_TYPES.issuperset(kinds):
-        # A subclass of EmitEvent is an emission too, as in dump_trace.
-        kinds = [EmitEvent if isinstance(event, EmitEvent) else type(event)
-                 for event in events]
-    emits = kinds.count(EmitEvent)
+    # A subclass of EmitEvent is an emission too, as in dump_trace.
+    emits = [at for at, event in enumerate(events) if isinstance(event, EmitEvent)]
     if not emits:
         return True
-    at = kinds.index(EmitEvent)
+    at = emits[0]
     mask = events[at].mask
     try:
         check_mask(instance, mask)
     except (TypeError, ValueError) as exc:
         raise TraceError(f"emitted mask invalid: {exc}") from exc
-    if emits > 1:
+    if len(emits) > 1:
         raise TraceError("trace contains more than one emission")
     return at > 0 and _witnesses(events[at - 1], instance, mask, encoding)
 

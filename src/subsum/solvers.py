@@ -71,7 +71,7 @@ def _result(instance: Instance, ledger: ComparisonLedger, solution) -> SolveResu
 
 def _start_run(instance: Instance, ledger: ComparisonLedger | None, encoding: str,
                solver: str, max_n: int) -> ComparisonLedger:
-    """The run's ledger, fresh if None; refuses n past the solver or trace cap."""
+    """The run's ledger, fresh if None; refuses n past a cap and a used ledger."""
     if instance.n > max_n:
         raise CapExceededError(f"{solver} is capped at n={max_n}, got n={instance.n}")
     if ledger is None:
@@ -79,6 +79,10 @@ def _start_run(instance: Instance, ledger: ComparisonLedger | None, encoding: st
     elif ledger.trace is not None and instance.n > FULL_TRACE_MAX_N:
         raise CapExceededError(
             f"full tracing is capped at n={FULL_TRACE_MAX_N}, got n={instance.n}")
+    elif (ledger.compare_count or ledger.elementary_ops
+          or ledger.peak_sorted_len != 1 or ledger.trace):
+        raise ValueError(f"{solver} needs a fresh ledger; this one already "
+                         "holds counts or trace events")
     ledger.encoding = encoding
     return ledger
 

@@ -154,6 +154,20 @@ def test_csv_refuses_existing_file(tmp_path):
     assert path.read_text().startswith("n,family,algo,seed,trial,C,M,T,wall_time")
 
 
+def test_csv_refused_before_any_row_runs(tmp_path, monkeypatch):
+    import subsum.bench as bench_mod
+    calls = []
+    real = bench_mod.brute_force_solve
+    monkeypatch.setattr(bench_mod, "brute_force_solve",
+                        lambda inst, led: calls.append(inst.n) or real(inst, led))
+    path = tmp_path / "out.csv"
+    path.write_text("already here")
+    with pytest.raises(FileExistsError, match="File exists"):
+        run_scaling_experiment("brute", "powers2", 4, 8, 1, 1, 0, path)
+    assert calls == []
+    assert path.read_text() == "already here"
+
+
 def test_csv_round_trip_and_write_order(tmp_path):
     records = run_scaling_experiment("brute", "powers2", 4, 8, 2, 2, 9,
                                      tmp_path / "r.csv")

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from subsum import (ComparisonLedger, CompareEvent, EmitEvent,
                     ExperimentRecord, Instance, Mode, Ordering,
                     SortedListEvent, TraceError, brute_force_solve,
-                    dump_trace, gen_planted, ledger, parse_trace,
-                    solution_witness_check, tradeoff_report)
+                    dump_trace, gen_planted, ledger, mitm_solve,
+                    parse_trace, solution_witness_check, tradeoff_report)
 from subsum.ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
                            _parse_lines, sort_charge)
 
@@ -226,6 +226,45 @@ def test_parse_trace_digit_limit_names_its_line(chunk):
     with pytest.raises(TraceError) as expected:
         _parse_lines(text)
     assert str(caught.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 1 << 15])
+def test_parse_trace_list_digit_limit_names_its_line(chunk):
+    # The LIST record sits in a chunk that also holds CMP records, so the
+    # per-line parser must number that chunk's lines from its place in the text.
+    lines = [f"CMP {i} 500 LT" for i in range(3000)]
+    lines[2500] = f"LIST {'7' * 5000}"
+    text = "".join(line + "\n" for line in lines)
+    with mock.patch.object(ledger, "_CHUNK_CHARS", chunk):
+        with pytest.raises(TraceError, match="^line 2501: .*limit") as caught:
+            parse_trace(text)
+    with pytest.raises(TraceError) as expected:
+        _parse_lines(text)
+    assert str(caught.value) == str(expected.value)
+
+
+@pytest.fixture(scope="module")
+def real_dumps():
+    dumps = []
+    for solve, n in [(brute_force_solve, 14), (mitm_solve, 24)]:
+        inst, _ = gen_planted(n, 1, n - 1)
+        led = ComparisonLedger(Mode.FULL_TRACE)
+        solve(inst, led)
+        dumps.append(dump_trace(led.trace))
+    return dumps
+
+
+@pytest.mark.parametrize("splice", [
+    "\r\n", "\n\n", "\n \t\n", "\nCMP 1 2\n", "\nLIST -1\n", f"\nCMP {'9' * 5000} 1 GT\n",
+], ids=["crlf", "blank", "whitespace", "short_cmp", "negative_list", "digit_limit"])
+def test_parse_trace_matches_per_line_parser_on_real_dumps(real_dumps, splice):
+    # One odd line in a middle chunk, at the default chunk size: the chunks
+    # before it are bulk-decoded and the rest goes to the per-line parser.
+    for text in real_dumps:
+        assert len(text) > 3 * ledger._CHUNK_CHARS
+        at = text.index("\n", len(text) // 2)
+        spliced = text[:at] + splice + text[at + 1:]
+        assert parse_outcome(parse_trace, spliced) == parse_outcome(_parse_lines, spliced)
 
 
 events = st.one_of(

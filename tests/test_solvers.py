@@ -96,6 +96,28 @@ def test_trace_cap_applies_to_any_tracing_ledger():
         assert led.trace == []
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_solvers_refuse_a_used_ledger(mode):
+    # Reusing a ledger would sum the two runs' counters into one result.
+    inst = Instance((3, 5, 7), 8)
+    led = ComparisonLedger(mode)
+    assert brute_force_solve(inst, led).compare_count == 4
+    for solver in (brute_force_solve, mitm_solve):
+        with pytest.raises(ValueError, match="fresh ledger"):
+            solver(inst, led)
+    assert (led.compare_count, led.encoding) == (4, ENCODING_SUM_VS_TARGET)
+    for field, value in [("compare_count", 1), ("elementary_ops", 1),
+                         ("peak_sorted_len", 2)]:
+        led = ComparisonLedger(mode)
+        setattr(led, field, value)
+        with pytest.raises(ValueError, match="fresh ledger"):
+            mitm_solve(inst, led)
+    led = ComparisonLedger(Mode.FULL_TRACE)
+    led.emit(0b11)
+    with pytest.raises(ValueError, match="fresh ledger"):
+        brute_force_solve(inst, led)
+
+
 @given(st.integers(0, 10), st.lists(st.integers(-20, 20), max_size=14))
 def test_brute_exact_count_on_no_instance(odd_target_seed, halves):
     # all-even elements with an odd target can never match
