@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 
@@ -56,6 +57,39 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _solve_traced(solver, instance, ledger, path):
+    """Run solver, then write its trace to path, which is checked first.
+
+    path is opened before the solve, without truncating it, so a path that
+    cannot be written is refused before any work is done, and an existing
+    file keeps its bytes until the solve has succeeded. A refused or failed
+    solve removes the file only if this run created it; a failed write
+    removes the partial file it left, unless path is not a regular file
+    (a device such as /dev/stdout).
+    """
+    try:
+        open(path, "x", encoding="utf-8").close()
+        created = True
+    except FileExistsError:
+        open(path, "a", encoding="utf-8").close()
+        created = False
+    try:
+        solution = solver(instance, ledger).solution
+        text = dump_trace(ledger.trace)
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
+    return solution
+
+
 def cmd_solve(args) -> int:
     instance = read_instance(args.in_path)
     if args.algo == "dp":
@@ -66,10 +100,10 @@ def cmd_solve(args) -> int:
     else:
         ledger = ComparisonLedger(Mode.FULL_TRACE if args.trace else Mode.COUNTERS_ONLY)
         solver = brute_force_solve if args.algo == "brute" else mitm_solve
-        solution = solver(instance, ledger).solution
         if args.trace:
-            with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(dump_trace(ledger.trace))
+            solution = _solve_traced(solver, instance, ledger, args.trace)
+        else:
+            solution = solver(instance, ledger).solution
     if solution is not None:
         print(f"SOLUTION {solution:x} {subset_sum(instance, solution)}")
     else:

@@ -80,6 +80,20 @@ def all_subset_sums(elements) -> list[int]:
     return sums
 
 
+def sorted_subset_sums(elements, base: int = 0) -> list[int]:
+    """All 2^n values base + subset sum, ascending, built by merging.
+
+    Horowitz and Sahni's enumeration: each doubling step appends the list
+    shifted by one element, which leaves two ascending runs that timsort
+    merges in linear time, so the list is never sorted from scratch.
+    """
+    sums = [base]
+    for a in elements:
+        sums += [s + a for s in sums]
+        sums.sort()
+    return sums
+
+
 def verify(instance: Instance, mask: int) -> bool:
     """True iff the masked subset sums exactly to the target."""
     return subset_sum(instance, mask) == instance.target

@@ -6,8 +6,9 @@ Three independent routes to the same answer:
     comparison per mask visited. The Theta(2^n) baseline; it checks masks
     in blocks of 2^10 by scanning one list of low-element sums.
   * mitm_solve: split the elements into a front and back half, enumerate
-    each half's subset sums, sort both candidate lists, and run a linear
-    two-pointer scan for a crossing pair. Theta(sqrt(2^n) * n) time.
+    each half's subset sums already in ascending order (Horowitz-Sahni
+    merges, no sort from scratch), and run a linear two-pointer scan for a
+    crossing pair. Theta(sqrt(2^n) * n) time.
   * dp_solve: pseudo-polynomial reachability table over the sum range,
     uninstrumented; a cross-check oracle for small-magnitude instances.
 
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 from .ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
                      FULL_TRACE_MAX_N, ComparisonLedger, front_size)
-from .model import Instance, all_subset_sums, verify
+from .model import Instance, all_subset_sums, sorted_subset_sums, verify
 
 BRUTE_FORCE_MAX_N = 30
 MITM_MAX_N = 50
@@ -143,9 +144,9 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
     return _result(instance, ledger, solution)
 
 
-def _half_list(instance: Instance, half: Half, ledger: ComparisonLedger,
-               max_entries: int) -> tuple[int, list[int]]:
-    """(start, sums) for one half: sums[k] is the sum of mask k << start."""
+def _half_elements(instance: Instance, half: Half,
+                   max_entries: int) -> tuple[int, tuple[int, ...]]:
+    """(start, elements) for one half, refused if its list would pass the cap."""
     if not isinstance(half, Half):
         raise TypeError(f"half must be a Half, got {half!r}")
     split = front_size(instance.n)
@@ -153,9 +154,7 @@ def _half_list(instance: Instance, half: Half, ledger: ComparisonLedger,
     if (1 << (stop - start)) > max_entries:
         raise CapExceededError(
             f"half list would hold 2^{stop - start} entries, cap is {max_entries}")
-    sums = all_subset_sums(instance.elements[start:stop])
-    ledger.charge_generated(len(sums))
-    return start, sums
+    return start, instance.elements[start:stop]
 
 
 def half_sums(instance: Instance, half: Half,
@@ -170,7 +169,9 @@ def half_sums(instance: Instance, half: Half,
     """
     if ledger is None:
         ledger = ComparisonLedger()
-    start, sums = _half_list(instance, half, ledger, max_entries)
+    start, elements = _half_elements(instance, half, max_entries)
+    sums = all_subset_sums(elements)
+    ledger.charge_generated(len(sums))
     return [HalfSumEntry(total, k << start) for k, total in enumerate(sums)]
 
 
@@ -179,22 +180,25 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
                max_entries: int = HALF_LIST_MAX_ENTRIES) -> SolveResult:
     """Meet-in-the-middle: sorted half-sum lists plus a two-pointer scan.
 
-    The half lists hold plain sums, entry k being the sum of relative mask
-    k. The scan walks the sorted front sums against the sorted values
-    target - back sum: equal heads combine to the target, so stop;
-    otherwise advance the pointer on the smaller side. When either list
-    runs out there is no solution; complete because both halves are
-    enumerated exhaustively. A hit recovers each half's mask as the first
-    index of its sum, so the smallest front mask, then the smallest back
-    mask, wins at the first crossing value.
+    The half lists hold plain ints and are built already ascending by
+    sorted_subset_sums: the front sums, and the values target - back sum.
+    Each list is still charged as one sort of its length, so C/M/T do not
+    depend on how the order is obtained. The scan walks the two lists:
+    equal heads combine to the target, so stop; otherwise advance the
+    pointer on the smaller side. When either list runs out there is no
+    solution; complete because both halves are enumerated exhaustively. A
+    hit recovers each half's mask as the first index of its sum in that
+    half's mask-order list, so the smallest front mask, then the smallest
+    back mask, wins at the first crossing value.
     """
     ledger = _start_run(instance, ledger, ENCODING_SPLIT_SUM, "meet-in-the-middle", max_n)
 
     target = instance.target
-    _, front = _half_list(instance, Half.FRONT, ledger, max_entries)
-    split, back = _half_list(instance, Half.BACK, ledger, max_entries)
-    lo = sorted(front)
-    hi = sorted([target - s for s in back])
+    _, front = _half_elements(instance, Half.FRONT, max_entries)
+    split, back = _half_elements(instance, Half.BACK, max_entries)
+    lo = sorted_subset_sums(front)
+    hi = sorted_subset_sums([-a for a in back], target)
+    ledger.charge_generated(len(lo) + len(hi))
     ledger.record_sorted_list(len(lo))
     ledger.charge_sort(len(lo))
     ledger.record_sorted_list(len(hi))
@@ -209,7 +213,8 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
         if trace is not None:
             ledger.record_compare(lhs, rhs)
         if lhs == rhs:
-            solution = front.index(lhs) | back.index(target - rhs) << split
+            solution = (all_subset_sums(front).index(lhs)
+                        | all_subset_sums(back).index(target - rhs) << split)
             break
         if lhs < rhs:
             i += 1

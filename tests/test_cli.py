@@ -134,6 +134,86 @@ def test_solve_trace_refused_above_cap(tmp_path, capsys):
     assert "24" in capsys.readouterr().err
 
 
+def _counting(solver, calls):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solver(*args, **kwargs)
+    return counted
+
+
+def test_solve_bad_trace_path_refused_before_solving(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(subsum.cli, "brute_force_solve",
+                        _counting(subsum.cli.brute_force_solve, calls))
+    path = tmp_path / "p.json"
+    write_instance(Instance(tuple(1 << i for i in range(20)), 1 << 20), path)
+    for bad in (tmp_path / "missing" / "t.txt", tmp_path):
+        assert run_cli("solve", "--in", str(path), "--algo", "brute",
+                       "--trace", str(bad)) == 2
+        assert "error" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("existing", [None, "occupied\n"])
+def test_refused_traced_solve_leaves_no_trace_file(tmp_path, capsys, monkeypatch,
+                                                   existing):
+    calls = []
+    monkeypatch.setattr(subsum.cli, "mitm_solve",
+                        _counting(subsum.cli.mitm_solve, calls))
+    path = tmp_path / "big.json"
+    write_instance(Instance((1,) * 25, 7), path)
+    trace = tmp_path / "t.txt"
+    if existing is not None:
+        trace.write_text(existing)
+    assert run_cli("solve", "--in", str(path), "--algo", "mitm",
+                   "--trace", str(trace)) == 2
+    assert "capped" in capsys.readouterr().err
+    assert len(calls) == 1
+    if existing is None:
+        assert not trace.exists()
+    else:
+        assert trace.read_text() == existing
+    # A later successful run replaces the old bytes with the whole trace.
+    write_instance(Instance((2, 3, 5), 8), path)
+    assert run_cli("solve", "--in", str(path), "--algo", "mitm",
+                   "--trace", str(trace)) == 0
+    assert parse_trace(trace.read_text())[0].length == 4
+
+
+def test_failed_trace_write_removes_the_partial_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "i.json"
+    write_instance(Instance((2, 3, 5), 8), path)
+    trace = tmp_path / "t.txt"
+    trace.write_text("old trace\n")
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:10])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    def full_disk_open(file, mode="r", **kwargs):
+        fh = real_open(file, mode, **kwargs)
+        return FullDisk(fh) if mode == "w" else fh
+
+    monkeypatch.setattr(subsum.cli, "open", full_disk_open, raising=False)
+    assert run_cli("solve", "--in", str(path), "--algo", "brute",
+                   "--trace", str(trace)) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_solve_trace_refused_for_dp(tmp_path, capsys):
     path = tmp_path / "i.json"
     write_instance(Instance((1, 2), 3), path)

@@ -4,13 +4,14 @@ import random
 from itertools import compress
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import oracle_matching_masks
 from subsum import (Instance, InstanceFormatError, dumps_instance,
                     loads_instance, read_instance, subset_sum, verify,
                     write_instance)
+from subsum.model import all_subset_sums, sorted_subset_sums
 
 
 def test_subset_sum_empty_mask_is_zero():
@@ -24,6 +25,24 @@ def test_subset_sum_singleton():
 
 def test_subset_sum_mixed_signs():
     assert subset_sum(Instance((3, -4, 12), 0), 0b011) == -1
+
+
+# Small values give zeros and repeated sums; wide ones pass 64 bits.
+_SUM_ELEMENTS = st.lists(st.one_of(st.integers(-3, 3),
+                                   st.integers(-(1 << 80), 1 << 80)), max_size=10)
+
+
+@given(_SUM_ELEMENTS, st.integers(-(1 << 80), 1 << 80))
+@example([], 7)
+@example([0, 0, 0], 0)
+@example([2, 2, -2, 2], -1)
+@example([1 << 64, -(1 << 70), (1 << 64) + 1, 3], 1 << 65)
+def test_sorted_subset_sums_equal_sorted_reference(elements, target):
+    sums = all_subset_sums(elements)
+    assert sorted_subset_sums(elements) == sorted(sums)
+    # mitm's back list: the values target - back sum, ascending.
+    assert (sorted_subset_sums([-a for a in elements], target)
+            == sorted(target - s for s in sums))
 
 
 def test_subset_sum_huge_values_exact():
