@@ -21,15 +21,19 @@ pinned stream in subsum.rng.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
-from .model import Instance, all_subset_sums, subset_sum
+from .model import (Instance, InstanceFormatError, all_subset_sums, loads_object,
+                    subset_sum)
 from .rng import SplitMix64
 
 FAMILY_POWERS2 = "powers2"
 FAMILY_RANDOM = "random"
 FAMILY_PLANTED = "planted"
 FAMILIES = (FAMILY_POWERS2, FAMILY_RANDOM, FAMILY_PLANTED)
+
+_HEX_RE = re.compile(r"[0-9a-f]+")
 
 # Verifying that all 2^n subset sums are distinct costs 2^n time and memory.
 DISTINCT_VERIFY_MAX_N = 20
@@ -157,11 +161,22 @@ def dumps_meta(meta: InstanceMeta) -> str:
 
 
 def loads_meta(text: str) -> InstanceMeta:
-    doc = json.loads(text)
-    mask = doc["planted_mask"]
-    return InstanceMeta(
-        family=doc["family"],
-        seed=doc["seed"],
-        distinct_verified=doc["distinct_verified"],
-        planted_mask=int(mask, 16) if mask is not None else None,
-    )
+    """Parse a sidecar as dumps_meta writes it, rejecting anything else."""
+    doc = loads_object(text, ("family", "seed", "distinct_verified", "planted_mask"),
+                       "metadata")
+    family, seed = doc["family"], doc["seed"]
+    verified, mask = doc["distinct_verified"], doc["planted_mask"]
+    if family not in FAMILIES:
+        raise InstanceFormatError(f"family must be one of {FAMILIES}, got {family!r}")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)
+                             or not 0 <= seed < (1 << 64)):
+        raise InstanceFormatError(
+            f"seed must be null or an integer in [0, 2^64), got {seed!r}")
+    if not isinstance(verified, bool):
+        raise InstanceFormatError(f"distinct_verified must be a boolean, got {verified!r}")
+    # int(mask, 16) would also take "0x1f", " 1_f " and "-1".
+    if mask is not None and not (isinstance(mask, str) and _HEX_RE.fullmatch(mask)):
+        raise InstanceFormatError(
+            f"planted_mask must be null or a lowercase hex string, got {mask!r}")
+    return InstanceMeta(family, seed, verified,
+                        int(mask, 16) if mask is not None else None)

@@ -121,17 +121,23 @@ def _parse_decimal(s, what: str) -> int:
             f"limit of {sys.get_int_max_str_digits()}") from None
 
 
-def loads_instance(text: str) -> Instance:
-    """Parse the canonical instance document, rejecting malformed input."""
+def loads_object(text: str, keys, what: str) -> dict:
+    """Parse a JSON object that holds at least the given keys."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InstanceFormatError("instance document must be a JSON object")
-    missing = {"n", "a", "b"} - doc.keys()
+        raise InstanceFormatError(f"{what} document must be a JSON object")
+    missing = set(keys) - doc.keys()
     if missing:
         raise InstanceFormatError(f"missing keys: {sorted(missing)}")
+    return doc
+
+
+def loads_instance(text: str) -> Instance:
+    """Parse the canonical instance document, rejecting malformed input."""
+    doc = loads_object(text, ("n", "a", "b"), "instance")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InstanceFormatError(f"n must be a nonnegative integer, got {n!r}")

@@ -19,6 +19,7 @@ identical results and identical counters on every run.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -183,9 +184,11 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
     The half lists hold plain ints and are built already ascending by
     sorted_subset_sums: the front sums, and the values target - back sum.
     Each list is still charged as one sort of its length, so C/M/T do not
-    depend on how the order is obtained. The scan walks the two lists:
-    equal heads combine to the target, so stop; otherwise advance the
-    pointer on the smaller side. When either list runs out there is no
+    depend on how the order is obtained. The scan walks the front list in
+    one for-loop against a back pointer: a front sum below the back head
+    is one LT comparison and moves on, a back head below the front sum is
+    one GT comparison and advances the back pointer, and equal heads
+    combine to the target, so stop. When either list runs out there is no
     solution; complete because both halves are enumerated exhaustively. A
     hit recovers each half's mask as the first index of its sum in that
     half's mask-order list, so the smallest front mask, then the smallest
@@ -205,21 +208,41 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
     ledger.charge_sort(len(hi))
 
     trace = ledger.trace
-    i = j = 0
     len_lo, len_hi = len(lo), len(hi)
+    j = 0
+    rhs = hi[0]
     solution = None
-    while i < len_lo and j < len_hi:
-        lhs, rhs = lo[i], hi[j]
+    # rhs is the back head hi[j]. Most steps pass a front sum below it, at
+    # one comparison each. The loop keeps no front index: enumerate() made
+    # each step take twice as long.
+    for lhs in lo:
+        if lhs < rhs:
+            if trace is not None:
+                ledger.record_compare(lhs, rhs)
+            continue
+        while rhs < lhs:
+            if trace is not None:
+                ledger.record_compare(lhs, rhs)
+            j += 1
+            if j == len_hi:
+                break
+            rhs = hi[j]
+        if j == len_hi:
+            break  # the back list ran out
+        # lhs <= rhs now: LT moves on to the next front sum, EQ is a hit.
         if trace is not None:
             ledger.record_compare(lhs, rhs)
         if lhs == rhs:
             solution = (all_subset_sums(front).index(lhs)
                         | all_subset_sums(back).index(target - rhs) << split)
             break
-        if lhs < rhs:
-            i += 1
-        else:
-            j += 1
+    else:
+        lhs = None  # the front list ran out
+    # i counts the front entries passed. A front sum equal to the one
+    # before it meets the back head that one was settled LT against, so it
+    # is settled LT too: the scan stops only on the first of equal sums,
+    # which bisect_left finds.
+    i = len_lo if lhs is None else bisect_left(lo, lhs)
     # Each miss advanced exactly one pointer and a hit ended the scan, so
     # the comparisons made are the advances plus the hit: a linear scan.
     compares = i + j + (solution is not None)

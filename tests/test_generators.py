@@ -1,10 +1,12 @@
 """Generator families: determinism, distinctness, and solvability contracts."""
 
+import json
+
 import pytest
 
-from subsum import (GeneratorSpec, brute_force_solve, dumps_instance,
-                    gen_planted, gen_powers_of_two, gen_random_wide, generate,
-                    mitm_solve, verify)
+from subsum import (GeneratorSpec, InstanceFormatError, brute_force_solve,
+                    dumps_instance, gen_planted, gen_powers_of_two,
+                    gen_random_wide, generate, mitm_solve, verify)
 from subsum.generators import (all_subset_sums, dumps_meta,
                                has_distinct_subset_sums, loads_meta)
 
@@ -146,3 +148,33 @@ def test_meta_canonical_text():
     _, meta = generate(GeneratorSpec("powers2", 4))
     assert dumps_meta(meta) == ('{"family":"powers2","seed":null,'
                                 '"distinct_verified":true,"planted_mask":null}\n')
+
+
+_META_DOC = {"family": "planted", "seed": 1, "distinct_verified": True,
+             "planted_mask": "1f"}
+
+
+@pytest.mark.parametrize("text, field", [
+    ("{", "JSON"),
+    ("[]", "object"),
+    ('"planted"', "object"),
+] + [(json.dumps({k: v for k, v in _META_DOC.items() if k != key}), key)
+     for key in _META_DOC])
+def test_loads_meta_refuses_malformed_documents(text, field):
+    with pytest.raises(InstanceFormatError, match=field):
+        loads_meta(text)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("family", "uniform"), ("family", None), ("family", ["planted"]),
+    ("seed", -1), ("seed", 1 << 64), ("seed", "1"), ("seed", 1.0), ("seed", True),
+    ("distinct_verified", 1), ("distinct_verified", "true"), ("distinct_verified", None),
+    ("planted_mask", " 1_f "), ("planted_mask", "0x1f"), ("planted_mask", "-1"),
+    ("planted_mask", "1F"), ("planted_mask", ""), ("planted_mask", 31),
+])
+def test_loads_meta_refuses_bad_fields(field, value):
+    # Only the forms dumps_meta writes are read back.
+    assert loads_meta(json.dumps(_META_DOC)).planted_mask == 31
+    doc = dict(_META_DOC, **{field: value})
+    with pytest.raises(InstanceFormatError, match=field):
+        loads_meta(json.dumps(doc))

@@ -20,6 +20,7 @@ from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
                     dump_trace, gen_powers_of_two, gen_random_wide, half_sums,
                     mitm_solve, solution_witness_check, subset_sum, verify)
 from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET
+from subsum.model import all_subset_sums, sorted_subset_sums
 
 
 @st.composite
@@ -302,8 +303,9 @@ def test_mitm_equals_independent_simulation(inst):
 
 
 def test_mitm_memory_per_half_entry():
-    # Plain int half lists peak near 74 B per entry on 64-bit CPython 3.11;
-    # one (sum, mask) tuple per entry took more than 160 B.
+    # Merge-built plain int half lists peak near 44.5 B per entry on 64-bit
+    # CPython 3.11. Sorting them with sorted() took 74 B, and one (sum, mask)
+    # tuple per entry more than 160 B.
     inst = gen_random_wide(20, 1)
     tracemalloc.start()
     try:
@@ -311,7 +313,65 @@ def test_mitm_memory_per_half_entry():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (2 ** 10 + 2 ** 10) < 110
+    assert peak / (2 ** 10 + 2 ** 10) < 60
+
+
+def reference_mitm(inst):
+    """mitm's mask, C/M/T and FULL_TRACE events from a pointer-pair while loop.
+
+    The same half lists and charges as the solver; the scan advances one
+    pointer per miss, testing both list bounds before every comparison.
+    """
+    split = (inst.n + 1) // 2
+    front, back = inst.elements[:split], inst.elements[split:]
+    lo = sorted_subset_sums(front)
+    hi = sorted_subset_sums([-a for a in back], inst.target)
+    led = ComparisonLedger(Mode.FULL_TRACE)
+    led.charge_generated(len(lo) + len(hi))
+    for sums in (lo, hi):
+        led.record_sorted_list(len(sums))
+        led.charge_sort(len(sums))
+    i = j = 0
+    solution = None
+    while i < len(lo) and j < len(hi):
+        lhs, rhs = lo[i], hi[j]
+        outcome = led.record_compare(lhs, rhs)
+        if outcome is Ordering.EQ:
+            solution = (all_subset_sums(front).index(lhs)
+                        | all_subset_sums(back).index(inst.target - rhs) << split)
+            break
+        if outcome is Ordering.LT:
+            i += 1
+        else:
+            j += 1
+    led.charge_compares(i + j + (solution is not None))
+    if solution is not None:
+        led.emit(solution)
+    return (solution, led.compare_count, led.peak_sorted_len,
+            led.elementary_ops), led.trace
+
+
+@given(st.one_of(small_instances(), small_instances(max_n=12, magnitude=3)))
+@settings(max_examples=300)
+# Each way the scan ends: the front list runs out, the back list runs out,
+# the heads meet on the first comparison, and they meet on the last entries
+# of both lists after the longest scan, 2^2 + 2^2 - 1 comparisons. With
+# n = 0 each list holds one entry.
+@example(Instance((1, 2), 100))
+@example(Instance((1, 2), -100))
+@example(Instance((1, 2), 2))
+@example(Instance((1, 2, 4, 8), 3))
+@example(Instance((), 7))
+@example(Instance((), -7))
+@example(Instance((), 0))
+@example(Instance((0, 0, -1, 1, 0), 0))
+def test_mitm_scan_equals_while_loop_reference(inst):
+    expected, events = reference_mitm(inst)
+    led = ComparisonLedger(Mode.FULL_TRACE)
+    res = mitm_solve(inst, led)
+    assert (res.solution, res.compare_count, res.peak_sorted_len,
+            res.elementary_ops) == expected
+    assert led.trace == events
 
 
 @given(small_instances())
