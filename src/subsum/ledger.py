@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import compress, count, groupby, repeat
 from typing import NamedTuple
 
 from .model import Instance, check_mask, subset_sum
@@ -73,7 +74,7 @@ class EmitEvent(NamedTuple):
     mask: int
 
 
-# Indexed by rhs > lhs: an unequal pair is GT (False) or LT (True).
+# Indexed by lhs < rhs: an unequal pair is GT (False) or LT (True).
 _MISS_OUTCOMES = (Ordering.GT, Ordering.LT)
 
 
@@ -96,11 +97,6 @@ class ComparisonLedger:
         self.peak_sorted_len = 1
         self.trace: list | None = [] if mode is Mode.FULL_TRACE else None
         self.encoding = ENCODING_SUM_VS_TARGET
-
-    def compare(self, lhs: int, rhs: int) -> Ordering:
-        """Charge and record one comparison; return the exact three-way ordering."""
-        self.charge_compares(1)
-        return self.record_compare(lhs, rhs)
 
     def charge_compares(self, count: int) -> None:
         """Charge count comparisons at once: C and T each grow by count."""
@@ -129,7 +125,7 @@ class ComparisonLedger:
             return
         if rhs in lhs:
             raise ValueError(f"record_misses got an lhs equal to rhs={rhs}")
-        outcomes = map(_MISS_OUTCOMES.__getitem__, map(rhs.__gt__, lhs))
+        outcomes = map(_MISS_OUTCOMES.__getitem__, map(operator.lt, lhs, repeat(rhs)))
         self.trace.extend(map(tuple.__new__, repeat(CompareEvent),
                               zip(lhs, repeat(rhs), outcomes)))
 
@@ -181,6 +177,13 @@ _RECORD = r"CMP -?[0-9]+ -?[0-9]+ (?:EQ|LT|GT)|LIST [0-9]+|EMIT [0-9a-f]+"
 _CHUNK_RE = re.compile(rf"(?:(?:{_RECORD})\n)*")
 _CHUNK_CHARS = 1 << 15
 _ORDERINGS = {ordering.value: ordering for ordering in Ordering}
+# A validated chunk's LIST and EMIT records, captured by re.split; the CMP
+# records between them stay whole.
+_LIST_OR_EMIT_RE = re.compile(r"^(LIST [0-9]+|EMIT [0-9a-f]+)\n", re.MULTILINE)
+# split(" ") of CMP records leaves each outcome joined to the next record's
+# "CMP", or to the final "\n".
+_OUTCOME_TOKENS = {code + tail: ordering for code, ordering in _ORDERINGS.items()
+                   for tail in ("\n", "\nCMP")}
 
 
 def parse_trace(text: str) -> list:
@@ -196,10 +199,10 @@ def parse_trace(text: str) -> list:
     Each chunk of about _CHUNK_CHARS, cut after a newline, is validated by
     one _CHUNK_RE match: sre keeps a backtrack frame per repetition, so one
     match over a 16k-line dump peaks near 7 MB, and chunks keep it under
-    3 MB. CMP-only chunks are decoded column by column. A chunk holding a
-    LIST or EMIT record, and the rest of the text from a chunk that fails
-    validation or holds a decimal past the digit limit, go through the
-    per-line parser.
+    3 MB. A validated chunk is decoded in bulk: its LIST and EMIT records
+    one by one, the runs of CMP records between them column by column. The
+    rest of the text from a chunk that fails validation or holds a decimal
+    past the digit limit goes through the per-line parser.
     """
     events = []
     start, size, lineno = 0, len(text), 1
@@ -208,25 +211,44 @@ def parse_trace(text: str) -> list:
         chunk = text[start:stop]
         if _CHUNK_RE.fullmatch(chunk) is None:
             break
-        if "LIST " in chunk or "EMIT " in chunk:
-            events += _parse_lines(chunk, lineno)
-        else:
-            try:
-                _extend_compares(events, chunk)
-            except ValueError:  # a decimal past the digit limit
-                break  # the per-line parser raises it, naming its line
+        try:
+            _extend_chunk(events, chunk)
+        except ValueError:  # a decimal past the digit limit
+            break  # the per-line parser raises it, naming its line
         lineno += chunk.count("\n")
         start = stop
     events += _parse_lines(text[start:], lineno)
     return events
 
 
+def _extend_chunk(events: list, chunk: str) -> None:
+    """Append the events of a chunk that _CHUNK_RE validated to events."""
+    if "LIST " not in chunk and "EMIT " not in chunk:
+        _extend_compares(events, chunk)
+        return
+    # [CMP records, LIST or EMIT record, CMP records, ..., CMP records]
+    parts = _LIST_OR_EMIT_RE.split(chunk)
+    for at in range(1, len(parts), 2):
+        _extend_compares(events, parts[at - 1])
+        kind, _, value = parts[at].partition(" ")
+        events.append(SortedListEvent(int(value)) if kind == "LIST"
+                      else EmitEvent(int(value, 16)))
+    _extend_compares(events, parts[-1])
+
+
 def _extend_compares(events: list, records: str) -> None:
-    """Append the CompareEvents of validated CMP records to events."""
-    tokens = records.split()
+    """Append the CompareEvents of validated CMP records to events.
+
+    Splitting on " " is sound only because the records were validated:
+    it gives 3 tokens per record. Each distinct rhs text, such as brute's
+    target, is converted once.
+    """
+    tokens = records.split(" ")
+    rhs_texts = tokens[2::3]
+    rhs_values = {rhs: int(rhs) for rhs in set(rhs_texts)}
     events.extend(map(tuple.__new__, repeat(CompareEvent),
-                      zip(map(int, tokens[1::4]), map(int, tokens[2::4]),
-                          map(_ORDERINGS.__getitem__, tokens[3::4]))))
+                      zip(map(int, tokens[1::3]), map(rhs_values.__getitem__, rhs_texts),
+                          map(_OUTCOME_TOKENS.__getitem__, tokens[3::3]))))
 
 
 def _parse_lines(text: str, first_lineno: int = 1) -> list:
@@ -288,7 +310,7 @@ def solution_witness_check(trace, instance: Instance,
         raise ValueError(f"unknown encoding {encoding!r}")
     events = trace if isinstance(trace, list) else list(trace)
     # A subclass of EmitEvent is an emission too, as in dump_trace.
-    emits = [at for at, event in enumerate(events) if isinstance(event, EmitEvent)]
+    emits = list(compress(count(), map(isinstance, events, repeat(EmitEvent))))
     if not emits:
         return True
     at = emits[0]

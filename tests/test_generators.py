@@ -1,14 +1,18 @@
 """Generator families: determinism, distinctness, and solvability contracts."""
 
+import hashlib
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from subsum import (GeneratorSpec, InstanceFormatError, brute_force_solve,
                     dumps_instance, gen_planted, gen_powers_of_two,
                     gen_random_wide, generate, mitm_solve, verify)
-from subsum.generators import (all_subset_sums, dumps_meta,
-                               has_distinct_subset_sums, loads_meta)
+from subsum.generators import dumps_meta, has_distinct_subset_sums, loads_meta
+from subsum.model import all_subset_sums
 
 
 def test_powers2_small():
@@ -32,6 +36,54 @@ def test_powers2_unsolvable(n):
     assert has_distinct_subset_sums(inst.elements)
     assert brute_force_solve(inst).solution is None
     assert mitm_solve(inst).solution is None
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-(1 << 70), 1 << 70)),
+                max_size=10))
+@example([])
+@example([0])
+@example([-5])
+@example([3, -3])
+@example([3, 3])
+@example([1, 2, 3])
+@example([1, -2, 4, -8, 16])
+@example([1, 2, 4, 8, 15])
+@example([1, 2, 4, 8, 16, 0])
+@example([1 << 100, 1 << 101, 3 << 100])
+@example([1 << 100, -(1 << 101), 1 << 102])
+def test_distinct_check_matches_all_subset_sums(elements):
+    # Small magnitudes give zeros and equal sums; wide ones mostly distinct.
+    expected = len(set(all_subset_sums(elements))) == 2 ** len(elements)
+    assert has_distinct_subset_sums(elements) is expected
+
+
+def test_distinct_check_memory_bounded_at_cap():
+    # All 2^20 sums in a set peaked near 96 MB; 2 * 3^10 signed half sums
+    # peak near 8 MB.
+    elements = gen_random_wide(20, 1).elements
+    tracemalloc.start()
+    try:
+        assert has_distinct_subset_sums(elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20_000_000, f"distinctness check peaked at {peak} B"
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("random", "d70ef987389b796ca411e0f7078c88114b850b378f535d4f3af4ae73bfc86283"),
+    ("planted", "b079a4cfbd8b57d582c325e3eb8360c0d5e50ce0b9fe7d171a8906e74d8ad374"),
+], ids=["random", "planted"])
+def test_generate_bytes_digest(family, digest):
+    # Instance and sidecar bytes for n = 0..20 and seeds 0..19, pinned when
+    # the distinctness check enumerated all 2^n sums. The draws at n = 3, 4
+    # and 6 include redraws after a failed check.
+    h = hashlib.sha256()
+    for n in range(21):
+        for seed in range(20):
+            instance, meta = generate(GeneratorSpec(family, n, seed))
+            h.update((dumps_instance(instance) + dumps_meta(meta)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_random_wide_deterministic_bytes():
