@@ -19,8 +19,8 @@ from .bench import (BENCH_ALGOS, fit_growth, group_records, read_records_csv,
 from .generators import FAMILIES, GeneratorSpec, dumps_meta, generate
 from .ledger import (FULL_TRACE_MAX_N, ComparisonLedger, Mode, dump_trace,
                      tradeoff_report)
-from .model import (InstanceFormatError, read_instance, subset_sum, verify,
-                    write_instance)
+from .model import (_DECIMAL_RE, InstanceFormatError, read_instance, subset_sum,
+                    verify, write_instance)
 from .solvers import CapExceededError, brute_force_solve, dp_solve, mitm_solve
 
 SOLVE_ALGOS = ("brute", "mitm", "dp")
@@ -37,8 +37,15 @@ def meta_path_for(out_path: str) -> str:
     return out_path + ".meta.json"
 
 
+def _parse_int(value: str) -> int:
+    # int() would accept "1_0", spaces and non-ASCII digits; files do not.
+    if not _DECIMAL_RE.fullmatch(value):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {value!r}")
+    return int(value)
+
+
 def _parse_seed(value: str) -> int:
-    seed = int(value)
+    seed = _parse_int(value)
     if not 0 <= seed < (1 << 64):
         raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned decimal")
     return seed
@@ -170,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance file plus metadata sidecar")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_parse_int)
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--size", type=int, default=None,
+    p.add_argument("--size", type=_parse_int, default=None,
                    help="planted subset size (planted family only; default n//2)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -187,12 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a scaling experiment to CSV")
     p.add_argument("--algo", required=True, choices=BENCH_ALGOS)
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n-min", required=True, type=int)
-    p.add_argument("--n-max", required=True, type=int)
-    p.add_argument("--step", type=int, default=1)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--n-min", required=True, type=_parse_int)
+    p.add_argument("--n-max", required=True, type=_parse_int)
+    p.add_argument("--step", type=_parse_int, default=1)
+    p.add_argument("--trials", type=_parse_int, default=1)
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--size", type=int, default=None,
+    p.add_argument("--size", type=_parse_int, default=None,
                    help="planted subset size (planted family only)")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true",

@@ -29,7 +29,6 @@ from .model import Instance, all_subset_sums, sorted_subset_sums, verify
 
 BRUTE_FORCE_MAX_N = 30
 MITM_MAX_N = 50
-HALF_LIST_MAX_ENTRIES = 1 << 26
 # brute checks its masks in blocks of 2^BRUTE_BLOCK_BITS against one unsorted
 # list of low-element sums. Fixed rather than sized from n, so brute's memory
 # stays flat in n and its M = 1 still means it holds no growing list.
@@ -89,54 +88,58 @@ def _start_run(instance: Instance, ledger: ComparisonLedger | None, encoding: st
     return ledger
 
 
-def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None,
-                      *, max_n: int = BRUTE_FORCE_MAX_N) -> SolveResult:
-    """Try every mask in ascending numeric order until one hits the target.
+def _lowest_mask(elements, total: int, ledger: ComparisonLedger | None = None) -> int | None:
+    """The lowest mask of elements whose subset sum is total, or None.
 
     The walk goes block by block: with k = min(n, BRUTE_BLOCK_BITS), masks
     h * 2^k .. h * 2^k + 2^k - 1 share the high-element sum offset(h), and
-    one scan of the low-element sums for target - offset(h) checks them
-    all. Each entry the scan tests settles whether one mask hits the
-    target, so each visited mask costs one comparison and one generation
-    charge, both charged in bulk once the walk ends; the lowest matching
-    mask wins. The low list is unsorted and holds at most 2^BRUTE_BLOCK_BITS
-    entries, so no sorted list is built and the ledger's peak stays at its
-    floor of 1. On an unsolvable instance the comparison count is exactly
-    2^n. A tracing ledger records one event per visited mask, in ascending
-    mask order.
+    one scan of the at most 2^BRUTE_BLOCK_BITS unsorted low-element sums
+    for total - offset(h) checks them all, so memory stays flat in n. A
+    tracing ledger gets one event per visited mask; nothing is charged.
     """
-    ledger = _start_run(instance, ledger, ENCODING_SUM_VS_TARGET, "brute force", max_n)
-
-    target = instance.target
     # Mask h * 2^k + l sums to low[l] + offset(h). list.index returns the
     # smallest l, so the first hit is the lowest matching mask.
-    k = min(instance.n, BRUTE_BLOCK_BITS)
-    low = all_subset_sums(instance.elements[:k])
-    high = instance.elements[k:]
+    k = min(len(elements), BRUTE_BLOCK_BITS)
+    low = all_subset_sums(elements[:k])
+    high = elements[k:]
     # Prefix sums make the ascending walk over h incremental: stepping from
     # h-1 to h clears the trailing one-bits and sets one new bit.
     prefix = [0]
     for a in high:
         prefix.append(prefix[-1] + a)
 
-    trace = ledger.trace
+    tracing = ledger is not None and ledger.trace is not None
     offset = 0
-    solution = None
     for h in range(1 << len(high)):
         if h:
             bit = (h & -h).bit_length() - 1
             offset += high[bit] - prefix[bit]
-        want = target - offset
+        want = total - offset
         hit = low.index(want) if want in low else None
-        if trace is not None:
+        if tracing:
             # Entries before the hit differ from want; the hit itself is EQ.
             seen = low if hit is None else low[:hit]
-            ledger.record_misses(list(map(offset.__add__, seen)), target)
+            ledger.record_misses(list(map(offset.__add__, seen)), total)
             if hit is not None:
-                ledger.record_compare(target, target)
+                ledger.record_compare(total, total)
         if hit is not None:
-            solution = h << k | hit
-            break
+            return h << k | hit
+    return None
+
+
+def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None,
+                      *, max_n: int = BRUTE_FORCE_MAX_N) -> SolveResult:
+    """Try every mask in ascending numeric order until one hits the target.
+
+    _lowest_mask's blocked walk visits the masks; each low-sum entry it
+    tests settles one mask, so each visited mask costs one comparison and
+    one generation charge, charged in bulk once the walk ends. No sorted
+    list is built, so the ledger's peak stays at its floor of 1. On an
+    unsolvable instance the comparison count is exactly 2^n. A tracing
+    ledger records one event per visited mask, in ascending mask order.
+    """
+    ledger = _start_run(instance, ledger, ENCODING_SUM_VS_TARGET, "brute force", max_n)
+    solution = _lowest_mask(instance.elements, instance.target, ledger)
     visited = 1 << instance.n if solution is None else solution + 1
     ledger.charge_generated(visited)
     ledger.charge_compares(visited)
@@ -145,40 +148,29 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
     return _result(instance, ledger, solution)
 
 
-def _half_elements(instance: Instance, half: Half,
-                   max_entries: int) -> tuple[int, tuple[int, ...]]:
-    """(start, elements) for one half, refused if its list would pass the cap."""
-    if not isinstance(half, Half):
-        raise TypeError(f"half must be a Half, got {half!r}")
-    split = front_size(instance.n)
-    start, stop = (0, split) if half is Half.FRONT else (split, instance.n)
-    if (1 << (stop - start)) > max_entries:
-        raise CapExceededError(
-            f"half list would hold 2^{stop - start} entries, cap is {max_entries}")
-    return start, instance.elements[start:stop]
-
-
 def half_sums(instance: Instance, half: Half,
-              ledger: ComparisonLedger | None = None,
-              *, max_entries: int = HALF_LIST_MAX_ENTRIES) -> list[HalfSumEntry]:
+              ledger: ComparisonLedger | None = None) -> list[HalfSumEntry]:
     """All subset sums of one half of the instance, in ascending mask order.
 
     The front half covers element indices [0, ceil(n/2)); the back half
     covers the rest. Masks use absolute bit positions so a front mask and a
     back mask combine with a plain OR. Every generated entry charges one
-    elementary op.
+    elementary op. Refused past MITM_MAX_N, as mitm_solve is.
     """
-    if ledger is None:
-        ledger = ComparisonLedger()
-    start, elements = _half_elements(instance, half, max_entries)
-    sums = all_subset_sums(elements)
-    ledger.charge_generated(len(sums))
+    if not isinstance(half, Half):
+        raise TypeError(f"half must be a Half, got {half!r}")
+    if instance.n > MITM_MAX_N:
+        raise CapExceededError(f"half lists are capped at n={MITM_MAX_N}, got n={instance.n}")
+    split = front_size(instance.n)
+    start, stop = (0, split) if half is Half.FRONT else (split, instance.n)
+    sums = all_subset_sums(instance.elements[start:stop])
+    if ledger is not None:
+        ledger.charge_generated(len(sums))
     return [HalfSumEntry(total, k << start) for k, total in enumerate(sums)]
 
 
 def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
-               *, max_n: int = MITM_MAX_N,
-               max_entries: int = HALF_LIST_MAX_ENTRIES) -> SolveResult:
+               *, max_n: int = MITM_MAX_N) -> SolveResult:
     """Meet-in-the-middle: sorted half-sum lists plus a two-pointer scan.
 
     The half lists hold plain ints and are built already ascending by
@@ -190,15 +182,15 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
     one GT comparison and advances the back pointer, and equal heads
     combine to the target, so stop. When either list runs out there is no
     solution; complete because both halves are enumerated exhaustively. A
-    hit recovers each half's mask as the first index of its sum in that
-    half's mask-order list, so the smallest front mask, then the smallest
+    hit recovers each half's mask with _lowest_mask, brute's blocked walk,
+    untraced and uncharged, so the smallest front mask, then the smallest
     back mask, wins at the first crossing value.
     """
     ledger = _start_run(instance, ledger, ENCODING_SPLIT_SUM, "meet-in-the-middle", max_n)
 
     target = instance.target
-    _, front = _half_elements(instance, Half.FRONT, max_entries)
-    split, back = _half_elements(instance, Half.BACK, max_entries)
+    split = front_size(instance.n)
+    front, back = instance.elements[:split], instance.elements[split:]
     lo = sorted_subset_sums(front)
     hi = sorted_subset_sums([-a for a in back], target)
     ledger.charge_generated(len(lo) + len(hi))
@@ -233,8 +225,8 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
         if trace is not None:
             ledger.record_compare(lhs, rhs)
         if lhs == rhs:
-            solution = (all_subset_sums(front).index(lhs)
-                        | all_subset_sums(back).index(target - rhs) << split)
+            solution = (_lowest_mask(front, lhs)
+                        | _lowest_mask(back, target - rhs) << split)
             break
     else:
         lhs = None  # the front list ran out

@@ -381,6 +381,24 @@ def test_bench_seed_validation():
                 "--n-min", "4", "--n-max", "8", "--seed", "-1", "--out", "x.csv")
 
 
+@pytest.mark.parametrize("text", ["1_0", " 7 ", "\u0663", "+4", "4.0", ""])
+def test_integer_flags_take_ascii_decimal_only(tmp_path, capsys, text):
+    # int() reads "1_0" as 10, " 7 " as 7 and Arabic-Indic "\u0663" as 3.
+    out = str(tmp_path / "x.json")
+    gen = ["gen", "--family", "planted", "--n", "8", "--out", out]
+    bench = ["bench", "--algo", "mitm", "--family", "planted", "--n-min", "4",
+             "--n-max", "8", "--out", str(tmp_path / "x.csv")]
+    for argv, flag in [(gen, "--n"), (gen, "--seed"), (gen, "--size"),
+                       (bench, "--n-min"), (bench, "--n-max"), (bench, "--step"),
+                       (bench, "--trials"), (bench, "--seed"), (bench, "--size")]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, flag, text)
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a decimal integer" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    assert run_cli(*gen, "--n", "08", "--seed", "-0", "--size", "3") == 0
+
+
 def test_parser_built_once_and_reused(tmp_path, capsys):
     assert build_parser() is build_parser()
     inst = tmp_path / "i.json"

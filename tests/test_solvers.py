@@ -1,5 +1,6 @@
 """Solver behavior: contracts, frozen reference runs, and cross-oracle properties."""
 
+import csv
 import hashlib
 import inspect
 import os
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 from conftest import oracle_matching_masks, oracle_solvable, simulate_mitm_scan
 import subsum
 from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
-                    EmitEvent, Half, HalfSumEntry, Instance, Mode, Ordering,
-                    SplitMix64, brute_force_solve, derive_seed, dp_solve,
-                    dump_trace, gen_powers_of_two, gen_random_wide, half_sums,
-                    mitm_solve, solution_witness_check, subset_sum, verify)
+                    EmitEvent, GeneratorSpec, Half, HalfSumEntry, Instance, Mode,
+                    Ordering, SplitMix64, brute_force_solve, derive_seed,
+                    dp_solve, dump_trace, gen_planted, gen_powers_of_two,
+                    gen_random_wide, generate, half_sums, mitm_solve,
+                    solution_witness_check, subset_sum, verify)
 from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET
 from subsum.model import all_subset_sums, sorted_subset_sums
+from subsum.solvers import MITM_MAX_N
 
 
 @st.composite
@@ -206,9 +209,14 @@ def test_half_sums_charges_one_op_per_entry():
 
 
 def test_half_sums_cap_refusal():
-    inst = Instance((1, 2, 3, 4, 5, 6), 0)
-    with pytest.raises(CapExceededError, match="cap"):
-        half_sums(inst, Half.FRONT, max_entries=4)
+    # n past mitm's cap is refused before any sum is enumerated; a 2^26-entry
+    # front list would not fit a small machine's memory.
+    inst = Instance((0,) * (MITM_MAX_N + 1), 1)
+    with mock.patch.object(subsum.solvers, "all_subset_sums",
+                           side_effect=AssertionError("enumerated past the cap")):
+        for half in Half:
+            with pytest.raises(CapExceededError, match=str(MITM_MAX_N)):
+                half_sums(inst, half)
 
 
 @pytest.mark.parametrize("half", ["front", "back", None, 0])
@@ -272,8 +280,6 @@ def test_mitm_cap_refusal():
     inst = Instance((0,) * 51, 1)
     with pytest.raises(CapExceededError, match="50"):
         mitm_solve(inst)
-    with pytest.raises(CapExceededError, match=r"2\^3"):
-        mitm_solve(Instance((0,) * 6, 1), max_entries=4)
 
 
 def test_mitm_trace_shape():
@@ -302,18 +308,22 @@ def test_mitm_equals_independent_simulation(inst):
     assert res.compare_count == expected_count
 
 
-def test_mitm_memory_per_half_entry():
+@pytest.mark.parametrize("inst", [gen_random_wide(20, 1), gen_planted(26, 1)[0]],
+                         ids=["random-n20-unsolvable", "planted-n26-hit"])
+def test_mitm_memory_per_half_entry(inst):
     # Merge-built plain int half lists peak near 44.5 B per entry on 64-bit
     # CPython 3.11. Sorting them with sorted() took 74 B, and one (sum, mask)
-    # tuple per entry more than 160 B.
-    inst = gen_random_wide(20, 1)
+    # tuple per entry more than 160 B. A hit recovers its masks with the
+    # blocked walk (45 B at n = 26); rebuilding each half's mask-order list
+    # took 66 B.
     tracemalloc.start()
     try:
         mitm_solve(inst)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (2 ** 10 + 2 ** 10) < 60
+    split = (inst.n + 1) // 2
+    assert peak / (2 ** split + 2 ** (inst.n - split)) < 60
 
 
 def reference_mitm(inst):
@@ -365,6 +375,13 @@ def reference_mitm(inst):
 @example(Instance((), -7))
 @example(Instance((), 0))
 @example(Instance((0, 0, -1, 1, 0), 0))
+# Halves of 11 and 12 elements, past one block of 2^10 masks, with ties:
+# the lowest front mask is >= 2^10 in the first three, and the lowest back
+# mask in all four, so recovery must walk past its first block.
+@example(Instance((0,) * 10 + (1,) + (0,) * 10 + (1,), 2))
+@example(Instance((1,) * 11 + (2,) * 11, 33))
+@example(Instance((0, 0, 1, -1) * 5 + (2, 2, 2), 5))
+@example(Instance((0, -1, 1) * 7 + (3, 3), 7))
 def test_mitm_scan_equals_while_loop_reference(inst):
     expected, events = reference_mitm(inst)
     led = ComparisonLedger(Mode.FULL_TRACE)
@@ -540,6 +557,26 @@ def test_behaviour_digest():
                     digest.update(repr(verdict).encode())
     assert digest.hexdigest() == (
         "8950b41eb04bb05da9f9867db4f96d47458d4b3bfc16384c24633322bb6f2886")
+
+
+def _large_n_rows():
+    with open(os.path.join(os.path.dirname(__file__), "data", "large_n_rows.csv"),
+              newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("row", _large_n_rows(),
+                         ids=lambda r: f"{r['algo']}-{r['family']}-n{r['n']}")
+def test_large_n_behaviour_rows(row):
+    # Mask and C/M/T past n = 12, where the digest above stops: mitm halves
+    # of 11 to 15 elements (recovery walks several blocks) and brute walks of
+    # 2^4 to 2^10 blocks. Rows are counters only, so the block size is free.
+    inst, _ = generate(GeneratorSpec(row["family"], int(row["n"]), int(row["seed"] or 0)))
+    solver = mitm_solve if row["algo"] == "mitm" else brute_force_solve
+    res = solver(inst)
+    mask = "-" if res.solution is None else f"{res.solution:x}"
+    assert (mask, res.compare_count, res.peak_sorted_len, res.elementary_ops) == (
+        row["mask"], int(row["C"]), int(row["M"]), int(row["T"]))
 
 
 class CallCountingLedger(ComparisonLedger):
