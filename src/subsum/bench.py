@@ -12,6 +12,7 @@ import csv
 import errno
 import math
 import os
+import re
 import statistics
 import sys
 import time
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from .generators import (FAMILY_POWERS2, FAMILY_RANDOM, GeneratorSpec,
                          gen_planted, gen_powers_of_two, gen_random_wide)
 from .ledger import ComparisonLedger
-from .model import Instance
+from .model import _DECIMAL_RE, Instance
 from .rng import derive_seed
 from .solvers import CapExceededError, brute_force_solve, mitm_solve
 
@@ -29,6 +30,8 @@ ALGO_MITM = "mitm"
 BENCH_ALGOS = (ALGO_BRUTE, ALGO_MITM)
 
 CSV_FIELDS = ["n", "family", "algo", "seed", "trial", "C", "M", "T", "wall_time"]
+_INT_COLUMNS = (0, 3, 4, 5, 6, 7)
+_WALL_TIME_RE = re.compile(r"[0-9]+\.[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,13 @@ def write_records_csv(records, path, *, force: bool = False) -> None:
 
 
 def read_records_csv(path) -> list[ExperimentRecord]:
+    """Read rows in the grammar write_records_csv writes, refusing any other.
+
+    n, seed, trial, C, M and T are decimal integers as instance files write
+    them (int() would also take "1_0", " 7 " and non-ASCII digits), and
+    wall_time is digits.digits (float() would also take "nan" and "1e3").
+    family and algo are free labels.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -155,8 +165,10 @@ def read_records_csv(path) -> list[ExperimentRecord]:
             raise ValueError(f"unexpected CSV header {header!r}")
         records = []
         for row in reader:
-            if len(row) != len(CSV_FIELDS):
-                raise ValueError(f"malformed CSV row {row!r}")
+            if (len(row) != len(CSV_FIELDS)
+                    or not all(_DECIMAL_RE.fullmatch(row[i]) for i in _INT_COLUMNS)
+                    or not _WALL_TIME_RE.fullmatch(row[8])):
+                raise ValueError(f"malformed CSV row at line {reader.line_num}: {row!r}")
             records.append(ExperimentRecord(
                 n=int(row[0]), family=row[1], algo=row[2], seed=int(row[3]),
                 trial=int(row[4]), compare_count=int(row[5]),

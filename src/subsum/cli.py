@@ -44,57 +44,64 @@ def _parse_int(value: str) -> int:
     return int(value)
 
 
-def _parse_seed(value: str) -> int:
-    seed = _parse_int(value)
-    if not 0 <= seed < (1 << 64):
-        raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned decimal")
-    return seed
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _produce(paths, work, write):
+    """Run work, then write(result) to paths, and return work's result.
+
+    Each path is opened before work runs, without truncating it, so a path
+    that cannot be written is refused before any work is done, and an
+    existing file keeps its bytes until work has succeeded. A refused or
+    failed run removes only the files it created; a failed write removes
+    every path that is a regular file (not a device such as /dev/stdout),
+    so a run leaves all of its files or none.
+    """
+    created = []
+    try:
+        for path in paths:
+            try:
+                open(path, "x", encoding="utf-8").close()
+                created.append(path)
+            except FileExistsError:
+                open(path, "a", encoding="utf-8").close()
+        result = work()
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
+    try:
+        write(result)
+    except BaseException:
+        for path in paths:
+            if os.path.isfile(path):
+                os.remove(path)
+        raise
+    return result
 
 
 def cmd_gen(args) -> int:
     spec = GeneratorSpec(family=args.family, n=args.n, seed=args.seed,
                          planted_size=args.size)
-    instance, meta = generate(spec)
-    write_instance(instance, args.out)
     meta_path = meta_path_for(args.out)
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_meta(meta))
+
+    def write(generated):
+        instance, meta = generated
+        write_instance(instance, args.out)
+        _write_text(meta_path, dumps_meta(meta))
+    _produce([args.out, meta_path], lambda: generate(spec), write)
     print(f"wrote {args.out}")
     print(f"wrote {meta_path}")
     return 0
 
 
 def _solve_traced(solver, instance, ledger, path):
-    """Run solver, then write its trace to path, which is checked first.
-
-    path is opened before the solve, without truncating it, so a path that
-    cannot be written is refused before any work is done, and an existing
-    file keeps its bytes until the solve has succeeded. A refused or failed
-    solve removes the file only if this run created it; a failed write
-    removes the partial file it left, unless path is not a regular file
-    (a device such as /dev/stdout).
-    """
-    try:
-        open(path, "x", encoding="utf-8").close()
-        created = True
-    except FileExistsError:
-        open(path, "a", encoding="utf-8").close()
-        created = False
-    try:
-        solution = solver(instance, ledger).solution
-        text = dump_trace(ledger.trace)
-    except BaseException:
-        if created:
-            os.remove(path)
-        raise
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except BaseException:
-        if os.path.isfile(path):
-            os.remove(path)
-        raise
-    return solution
+    """Run solver, then write its trace to path, as _produce checks it."""
+    def work():
+        return solver(instance, ledger).solution, dump_trace(ledger.trace)
+    return _produce([path], work, lambda result: _write_text(path, result[1]))[0]
 
 
 def cmd_solve(args) -> int:
@@ -178,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an instance file plus metadata sidecar")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", required=True, type=_parse_int)
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    p.add_argument("--seed", type=_parse_int, default=0)
     p.add_argument("--size", type=_parse_int, default=None,
                    help="planted subset size (planted family only; default n//2)")
     p.add_argument("--out", required=True)
@@ -198,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", required=True, type=_parse_int)
     p.add_argument("--step", type=_parse_int, default=1)
     p.add_argument("--trials", type=_parse_int, default=1)
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    p.add_argument("--seed", type=_parse_int, default=0)
     p.add_argument("--size", type=_parse_int, default=None,
                    help="planted subset size (planted family only)")
     p.add_argument("--out", required=True)

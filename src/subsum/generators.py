@@ -161,18 +161,17 @@ def gen_planted(n: int, seed: int, planted_size: int | None = None) -> tuple[Ins
 
 def generate(spec: GeneratorSpec) -> tuple[Instance, InstanceMeta]:
     """Build the instance plus its metadata sidecar for a generator spec."""
+    mask = None
     if spec.family == FAMILY_POWERS2:
         instance = gen_powers_of_two(spec.n)
-        meta = InstanceMeta(spec.family, None, True, None)
     elif spec.family == FAMILY_RANDOM:
         instance = gen_random_wide(spec.n, spec.seed)
-        meta = InstanceMeta(spec.family, spec.seed,
-                            spec.n <= DISTINCT_VERIFY_MAX_N, None)
     else:
         instance, mask = gen_planted(spec.n, spec.seed, spec.planted_size)
-        meta = InstanceMeta(spec.family, spec.seed,
-                            spec.n <= DISTINCT_VERIFY_MAX_N, mask)
-    return instance, meta
+    # powers2 is seed-free, and its sums 0..2^n-1 are distinct by construction.
+    seeded = spec.family != FAMILY_POWERS2
+    return instance, InstanceMeta(spec.family, spec.seed if seeded else None,
+                                  not seeded or spec.n <= DISTINCT_VERIFY_MAX_N, mask)
 
 
 def dumps_meta(meta: InstanceMeta) -> str:

@@ -121,10 +121,21 @@ def _parse_decimal(s, what: str) -> int:
             f"limit of {sys.get_int_max_str_digits()}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    # json.loads alone keeps the last of repeated keys, so {"b":"5","b":"7"}
+    # would read as target 7.
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InstanceFormatError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def loads_object(text: str, keys, what: str) -> dict:
-    """Parse a JSON object that holds at least the given keys."""
+    """Parse a JSON object that holds at least the given keys, each once."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

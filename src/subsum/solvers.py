@@ -19,8 +19,8 @@ identical results and identical counters on every run.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass
+from operator import length_hint
 from typing import NamedTuple
 
 from .ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
@@ -64,8 +64,11 @@ class SolveResult:
 
 
 def _result(instance: Instance, ledger: ComparisonLedger, solution) -> SolveResult:
-    if solution is not None and not verify(instance, solution):
-        raise RuntimeError(f"solver produced mask {solution:#x}, which misses the target")
+    """Emit and verify a found mask, then snapshot the ledger's counters."""
+    if solution is not None:
+        ledger.emit(solution)
+        if not verify(instance, solution):
+            raise RuntimeError(f"solver produced mask {solution:#x}, which misses the target")
     return SolveResult(solution, ledger.compare_count, ledger.peak_sorted_len,
                        ledger.elementary_ops)
 
@@ -143,19 +146,16 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
     visited = 1 << instance.n if solution is None else solution + 1
     ledger.charge_generated(visited)
     ledger.charge_compares(visited)
-    if solution is not None:
-        ledger.emit(solution)
     return _result(instance, ledger, solution)
 
 
-def half_sums(instance: Instance, half: Half,
-              ledger: ComparisonLedger | None = None) -> list[HalfSumEntry]:
+def half_sums(instance: Instance, half: Half) -> list[HalfSumEntry]:
     """All subset sums of one half of the instance, in ascending mask order.
 
     The front half covers element indices [0, ceil(n/2)); the back half
     covers the rest. Masks use absolute bit positions so a front mask and a
-    back mask combine with a plain OR. Every generated entry charges one
-    elementary op. Refused past MITM_MAX_N, as mitm_solve is.
+    back mask combine with a plain OR. Nothing is charged: mitm_solve
+    charges its own lists. Refused past MITM_MAX_N, as mitm_solve is.
     """
     if not isinstance(half, Half):
         raise TypeError(f"half must be a Half, got {half!r}")
@@ -164,8 +164,6 @@ def half_sums(instance: Instance, half: Half,
     split = front_size(instance.n)
     start, stop = (0, split) if half is Half.FRONT else (split, instance.n)
     sums = all_subset_sums(instance.elements[start:stop])
-    if ledger is not None:
-        ledger.charge_generated(len(sums))
     return [HalfSumEntry(total, k << start) for k, total in enumerate(sums)]
 
 
@@ -206,8 +204,9 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
     solution = None
     # rhs is the back head hi[j]. Most steps pass a front sum below it, at
     # one comparison each. The loop keeps no front index: enumerate() made
-    # each step take twice as long.
-    for lhs in lo:
+    # each step take twice as long. The iterator's length_hint recovers it.
+    walk = iter(lo)
+    for lhs in walk:
         if lhs < rhs:
             if trace is not None:
                 ledger.record_compare(lhs, rhs)
@@ -230,11 +229,8 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
             break
     else:
         lhs = None  # the front list ran out
-    # i counts the front entries passed. A front sum equal to the one
-    # before it meets the back head that one was settled LT against, so it
-    # is settled LT too: the scan stops only on the first of equal sums,
-    # which bisect_left finds.
-    i = len_lo if lhs is None else bisect_left(lo, lhs)
+    # i counts the front entries passed: all of them, or those before lhs.
+    i = len_lo if lhs is None else len_lo - length_hint(walk) - 1
     # Each miss advanced exactly one pointer and a hit ended the scan, so
     # the comparisons made are the advances plus the hit: a linear scan.
     compares = i + j + (solution is not None)
@@ -242,8 +238,6 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
         raise RuntimeError(f"scan made {compares} comparisons over lists of "
                            f"{len_lo} and {len_hi} entries")
     ledger.charge_compares(compares)
-    if solution is not None:
-        ledger.emit(solution)
     return _result(instance, ledger, solution)
 
 

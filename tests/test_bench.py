@@ -186,6 +186,33 @@ def test_read_rejects_bad_header(tmp_path):
         read_records_csv(path)
 
 
+_GOOD_ROW = ["4", "hand", "x", "0", "0", "16", "1", "32", "0.000100"]
+
+
+@pytest.mark.parametrize("column", [0, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("text", ["1_0", " 7 ", "\u0663", "+4", "4.0", "nan", ""])
+def test_read_refuses_non_decimal_integers(tmp_path, column, text):
+    # int() reads "1_0" as 10, " 7 " as 7 and Arabic-Indic "\u0663" as 3.
+    row = list(_GOOD_ROW)
+    row[column] = text
+    path = tmp_path / "r.csv"
+    path.write_text("n,family,algo,seed,trial,C,M,T,wall_time\n"
+                    + ",".join(_GOOD_ROW) + "\n" + ",".join(row) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed CSV row at line 3"):
+        read_records_csv(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "1e-3", "1", ".5", "1.", "-0.5",
+                                  " 0.5", "0_1.5", "\u0663.5"])
+def test_read_refuses_wall_time_it_never_writes(tmp_path, text):
+    path = tmp_path / "r.csv"
+    path.write_text("n,family,algo,seed,trial,C,M,T,wall_time\n"
+                    + ",".join(_GOOD_ROW[:-1] + [text]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed CSV row at line 2"):
+        read_records_csv(path)
+
+
 def test_group_records(tmp_path):
     records = run_scaling_experiment("brute", "powers2", 4, 7, 1, 1, 0,
                                      tmp_path / "g.csv")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -105,6 +106,34 @@ def test_solve_planted_finds_target_sum(tmp_path, capsys):
     inst = read_instance(out)
     assert int(total) == inst.target
     assert verify(inst, int(mask_hex, 16))
+
+
+@pytest.mark.parametrize("existing", [None, "old\n"])
+def test_gen_writes_both_files_or_neither(tmp_path, capsys, monkeypatch, existing):
+    out = tmp_path / "x.json"
+    meta = tmp_path / "x.meta.json"
+    argv = ["gen", "--family", "powers2", "--n", "4", "--out", str(out)]
+    if existing is not None:
+        out.write_text(existing)
+    # An unwritable sidecar path is refused before anything is generated.
+    meta.mkdir()
+    calls = []
+    monkeypatch.setattr(subsum.cli, "generate", _counting(subsum.cli.generate, calls))
+    assert run_cli(*argv) == 2
+    assert "error" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == (["x.json", "x.meta.json"] if existing
+                                           else ["x.meta.json"])
+    if existing is not None:
+        assert out.read_text() == existing
+    meta.rmdir()
+    # A sidecar write that fails after the instance was written removes both.
+    monkeypatch.setattr(subsum.cli, "dumps_meta", mock.Mock(side_effect=OSError(28, "full")))
+    assert run_cli(*argv) == 2
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    assert run_cli(*argv) == 0
+    assert sorted(os.listdir(tmp_path)) == ["x.json", "x.meta.json"]
 
 
 def test_solve_trace_dump(tmp_path, capsys):
@@ -375,10 +404,13 @@ def test_report_missing_csv(tmp_path):
     assert run_cli("report", "--csv", str(tmp_path / "none.csv")) == 2
 
 
-def test_bench_seed_validation():
-    with pytest.raises(SystemExit):
-        run_cli("bench", "--algo", "mitm", "--family", "powers2",
-                "--n-min", "4", "--n-max", "8", "--seed", "-1", "--out", "x.csv")
+def test_bench_seed_validation(tmp_path, capsys):
+    # GeneratorSpec's range check refuses the seed before any file is written.
+    out = str(tmp_path / "x.csv")
+    assert run_cli("bench", "--algo", "mitm", "--family", "powers2",
+                   "--n-min", "4", "--n-max", "8", "--seed", "-1", "--out", out) == 2
+    assert "seed must be a 64-bit unsigned integer" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("text", ["1_0", " 7 ", "\u0663", "+4", "4.0", ""])

@@ -210,6 +210,8 @@ _META_DOC = {"family": "planted", "seed": 1, "distinct_verified": True,
     ("{", "JSON"),
     ("[]", "object"),
     ('"planted"', "object"),
+    ('{"family":"planted","seed":1,"seed":2,"distinct_verified":true,'
+     '"planted_mask":"1f"}', "duplicate key 'seed'"),
 ] + [(json.dumps({k: v for k, v in _META_DOC.items() if k != key}), key)
      for key in _META_DOC])
 def test_loads_meta_refuses_malformed_documents(text, field):

@@ -181,6 +181,18 @@ def test_loads_rejects_malformed(doc):
         loads_instance(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    '{"n":1,"a":["5"],"b":"5","b":"7"}',
+    '{"n":1,"n":1,"a":["5"],"b":"5"}',
+    '{"n":1,"a":["5"],"a":["7"],"b":"7"}',
+])
+def test_loads_refuses_duplicate_keys(doc):
+    # json.loads keeps the last value, so the first document would be solved
+    # for target 7 though it also says 5.
+    with pytest.raises(InstanceFormatError, match="duplicate key"):
+        loads_instance(doc)
+
+
 def test_loads_accepts_negative_and_duplicate_elements():
     inst = loads_instance('{"n":3,"a":["-4","-4","0"],"b":"-8"}')
     assert inst.elements == (-4, -4, 0)

@@ -21,7 +21,7 @@ from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
                     dp_solve, dump_trace, gen_planted, gen_powers_of_two,
                     gen_random_wide, generate, half_sums, mitm_solve,
                     solution_witness_check, subset_sum, verify)
-from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET
+from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET, sort_charge
 from subsum.model import all_subset_sums, sorted_subset_sums
 from subsum.solvers import MITM_MAX_N
 
@@ -200,12 +200,6 @@ def test_half_sums_three_elements():
 def test_half_sums_single_element_back_is_empty_set_only():
     inst = Instance((9,), 9)
     assert half_sums(inst, Half.BACK) == [HalfSumEntry(0, 0)]
-
-
-def test_half_sums_charges_one_op_per_entry():
-    led = ComparisonLedger()
-    half_sums(Instance((1, 2, 3, 4), 0), Half.FRONT, led)
-    assert led.elementary_ops == 4
 
 
 def test_half_sums_cap_refusal():
@@ -569,14 +563,42 @@ def _large_n_rows():
                          ids=lambda r: f"{r['algo']}-{r['family']}-n{r['n']}")
 def test_large_n_behaviour_rows(row):
     # Mask and C/M/T past n = 12, where the digest above stops: mitm halves
-    # of 11 to 15 elements (recovery walks several blocks) and brute walks of
-    # 2^4 to 2^10 blocks. Rows are counters only, so the block size is free.
+    # of 7 to 17 elements (recovery walks several blocks) and brute walks of
+    # 2^1 to 2^10 blocks. Rows with n <= 16 also pin the FULL_TRACE bytes,
+    # EMIT included; a trace lists one event per mask in ascending order
+    # whatever the block size, so the block size is free.
     inst, _ = generate(GeneratorSpec(row["family"], int(row["n"]), int(row["seed"] or 0)))
     solver = mitm_solve if row["algo"] == "mitm" else brute_force_solve
-    res = solver(inst)
-    mask = "-" if res.solution is None else f"{res.solution:x}"
-    assert (mask, res.compare_count, res.peak_sorted_len, res.elementary_ops) == (
-        row["mask"], int(row["C"]), int(row["M"]), int(row["T"]))
+    expected = (row["mask"], int(row["C"]), int(row["M"]), int(row["T"]))
+    ledgers = [ComparisonLedger()]
+    if row["trace_sha256"]:
+        ledgers.append(ComparisonLedger(Mode.FULL_TRACE))
+    for led in ledgers:
+        res = solver(inst, led)
+        mask = "-" if res.solution is None else f"{res.solution:x}"
+        assert (mask, res.compare_count, res.peak_sorted_len,
+                res.elementary_ops) == expected
+    if row["trace_sha256"]:
+        assert hashlib.sha256(dump_trace(led.trace).encode()).hexdigest() == (
+            row["trace_sha256"])
+
+
+def test_powers2_closed_forms():
+    # The paper's growth claims, exact: powers2 is unsolvable with distinct
+    # sums, so brute visits all 2^n masks holding no list, and mitm's scan
+    # passes every front sum (each is below every target - back sum).
+    for n in range(21):
+        res = brute_force_solve(gen_powers_of_two(n))
+        assert (res.solution, res.compare_count, res.peak_sorted_len,
+                res.elementary_ops) == (None, 2 ** n, 1, 2 ** (n + 1)), n
+    for n in range(35):
+        a, b = 2 ** ((n + 1) // 2), 2 ** (n // 2)
+        res = mitm_solve(gen_powers_of_two(n))
+        # T: generation and list building charge each entry once apiece,
+        # then each list is charged as a sort.
+        assert (res.solution, res.compare_count, res.peak_sorted_len,
+                res.elementary_ops) == (
+            None, a, a, a + 2 * (a + b) + sort_charge(a) + sort_charge(b)), n
 
 
 class CallCountingLedger(ComparisonLedger):
