@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .generators import (FAMILY_POWERS2, FAMILY_RANDOM, GeneratorSpec,
                          gen_planted, gen_powers_of_two, gen_random_wide)
 from .ledger import ComparisonLedger
-from .model import _DECIMAL_RE, Instance
+from .model import Instance, _parse_decimal
 from .rng import derive_seed
 from .solvers import CapExceededError, brute_force_solve, mitm_solve
 
@@ -156,7 +156,9 @@ def read_records_csv(path) -> list[ExperimentRecord]:
     n, seed, trial, C, M and T are decimal integers as instance files write
     them (int() would also take "1_0", " 7 " and non-ASCII digits), and
     wall_time is digits.digits (float() would also take "nan" and "1e3").
-    family and algo are free labels.
+    family and algo are free labels. A malformed row raises ValueError
+    naming its line, and a bad integer's column, as does an integer past the
+    interpreter's int-to-str digit limit.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -165,14 +167,17 @@ def read_records_csv(path) -> list[ExperimentRecord]:
             raise ValueError(f"unexpected CSV header {header!r}")
         records = []
         for row in reader:
-            if (len(row) != len(CSV_FIELDS)
-                    or not all(_DECIMAL_RE.fullmatch(row[i]) for i in _INT_COLUMNS)
-                    or not _WALL_TIME_RE.fullmatch(row[8])):
-                raise ValueError(f"malformed CSV row at line {reader.line_num}: {row!r}")
+            where = f"malformed CSV row at line {reader.line_num}"
+            if len(row) != len(CSV_FIELDS) or not _WALL_TIME_RE.fullmatch(row[8]):
+                raise ValueError(f"{where}: {row!r}")
+            try:  # names the column of a non-decimal or over-long integer
+                n, seed, trial, c, m, t = [_parse_decimal(row[i], CSV_FIELDS[i])
+                                           for i in _INT_COLUMNS]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             records.append(ExperimentRecord(
-                n=int(row[0]), family=row[1], algo=row[2], seed=int(row[3]),
-                trial=int(row[4]), compare_count=int(row[5]),
-                peak_sorted_len=int(row[6]), elementary_ops=int(row[7]),
+                n=n, family=row[1], algo=row[2], seed=seed, trial=trial,
+                compare_count=c, peak_sorted_len=m, elementary_ops=t,
                 wall_time=float(row[8]),
             ))
     return records

@@ -17,14 +17,22 @@ trace is a list (FULL_TRACE mode) records each charged comparison, sorted
 list build, and solution emission as an event; dump_trace and parse_trace
 convert events to and from the line format, and solution_witness_check
 replays them. Solvers refuse a tracing ledger above n = FULL_TRACE_MAX_N.
+
+parse_trace and traced solves pause CPython's cyclic garbage collector and
+then restore its prior state: events are acyclic, so reference counting
+frees them, and a collection pass would only re-traverse every live event.
+Other threads see the collector paused for that time. A counters-only solve
+leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 import math
 import operator
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress, count, groupby, repeat
 from typing import NamedTuple
@@ -76,6 +84,23 @@ class EmitEvent(NamedTuple):
 
 # Indexed by lhs < rhs: an unequal pair is GT (False) or LT (True).
 _MISS_OUTCOMES = (Ordering.GT, Ordering.LT)
+
+
+@contextmanager
+def _gc_paused():
+    """Run the block with the cyclic collector off, then restore its state.
+
+    For code that builds many events: each automatic collection pass would
+    re-traverse every live event and free none. The collector is re-enabled
+    only if it was enabled on entry.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def sort_charge(length: int) -> int:
@@ -186,6 +211,7 @@ _OUTCOME_TOKENS = {code + tail: ordering for code, ordering in _ORDERINGS.items(
                    for tail in ("\n", "\nCMP")}
 
 
+@_gc_paused()
 def parse_trace(text: str) -> list:
     """Inverse of dump_trace: the events of a trace dump, in order.
 
@@ -202,7 +228,8 @@ def parse_trace(text: str) -> list:
     3 MB. A validated chunk is decoded in bulk: its LIST and EMIT records
     one by one, the runs of CMP records between them column by column. The
     rest of the text from a chunk that fails validation or holds a decimal
-    past the digit limit goes through the per-line parser.
+    past the digit limit goes through the per-line parser. The cyclic
+    collector stays paused throughout (see _gc_paused).
     """
     events = []
     start, size, lineno = 0, len(text), 1

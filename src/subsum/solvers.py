@@ -19,12 +19,13 @@ identical results and identical counters on every run.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from operator import length_hint
 from typing import NamedTuple
 
 from .ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
-                     FULL_TRACE_MAX_N, ComparisonLedger, front_size)
+                     FULL_TRACE_MAX_N, ComparisonLedger, _gc_paused, front_size)
 from .model import Instance, all_subset_sums, sorted_subset_sums, verify
 
 BRUTE_FORCE_MAX_N = 30
@@ -61,6 +62,20 @@ class SolveResult:
     @property
     def found(self) -> bool:
         return self.solution is not None
+
+
+def _paused_when_tracing(solve):
+    """Run solve with the cyclic collector paused if its ledger traces.
+
+    A counters-only call goes straight to solve and leaves gc alone.
+    """
+    @functools.wraps(solve)
+    def run(instance, ledger=None, **caps):
+        if ledger is None or ledger.trace is None:
+            return solve(instance, ledger, **caps)
+        with _gc_paused():
+            return solve(instance, ledger, **caps)
+    return run
 
 
 def _result(instance: Instance, ledger: ComparisonLedger, solution) -> SolveResult:
@@ -130,6 +145,7 @@ def _lowest_mask(elements, total: int, ledger: ComparisonLedger | None = None) -
     return None
 
 
+@_paused_when_tracing
 def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None,
                       *, max_n: int = BRUTE_FORCE_MAX_N) -> SolveResult:
     """Try every mask in ascending numeric order until one hits the target.
@@ -167,6 +183,7 @@ def half_sums(instance: Instance, half: Half) -> list[HalfSumEntry]:
     return [HalfSumEntry(total, k << start) for k, total in enumerate(sums)]
 
 
+@_paused_when_tracing
 def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
                *, max_n: int = MITM_MAX_N) -> SolveResult:
     """Meet-in-the-middle: sorted half-sum lists plus a two-pointer scan.

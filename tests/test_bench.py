@@ -203,6 +203,20 @@ def test_read_refuses_non_decimal_integers(tmp_path, column, text):
         read_records_csv(path)
 
 
+@pytest.mark.parametrize("column", [0, 3, 4, 5, 6, 7])
+def test_read_names_line_and_column_of_integer_past_digit_limit(tmp_path, column):
+    # int() refuses 5,000 digits with a message naming neither row nor column.
+    row = list(_GOOD_ROW)
+    row[column] = "7" * 5000
+    path = tmp_path / "r.csv"
+    path.write_text("n,family,algo,seed,trial,C,M,T,wall_time\n"
+                    + ",".join(_GOOD_ROW) + "\n" + ",".join(row) + "\n",
+                    encoding="utf-8")
+    name = "n,family,algo,seed,trial,C,M,T".split(",")[column]
+    with pytest.raises(ValueError, match=f"malformed CSV row at line 3: {name} has 5000 digits"):
+        read_records_csv(path)
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "1e-3", "1", ".5", "1.", "-0.5",
                                   " 0.5", "0_1.5", "\u0663.5"])
 def test_read_refuses_wall_time_it_never_writes(tmp_path, text):

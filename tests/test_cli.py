@@ -392,6 +392,14 @@ def test_report_names_the_group_it_cannot_fit(tmp_path, capsys):
     assert lines[-1] == "group algo=mitm family=powers2 rows=3 distinct_n=3"
 
 
+def test_report_names_row_of_integer_past_digit_limit(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("n,family,algo,seed,trial,C,M,T,wall_time\n"
+                    f"4,hand,x,0,0,{'7' * 5000},1,32,0.000100\n", encoding="utf-8")
+    assert run_cli("report", "--csv", str(path)) == 2
+    assert "malformed CSV row at line 2: C has 5000 digits" in capsys.readouterr().err
+
+
 def test_bench_empty_grid_rejected(tmp_path, capsys):
     out = tmp_path / "e.csv"
     assert run_cli("bench", "--algo", "mitm", "--family", "powers2",

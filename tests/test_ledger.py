@@ -1,5 +1,9 @@
 """Ledger counting, traces, witness checking, and tradeoff checks."""
 
+import contextlib
+import gc
+import inspect
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -10,7 +14,8 @@ from hypothesis import strategies as st
 from subsum import (ComparisonLedger, CompareEvent, EmitEvent,
                     ExperimentRecord, Instance, Mode, Ordering,
                     SortedListEvent, TraceError, brute_force_solve,
-                    dump_trace, gen_planted, ledger, mitm_solve,
+                    dump_trace, gen_planted, gen_powers_of_two,
+                    gen_random_wide, ledger, mitm_solve,
                     parse_trace, solution_witness_check, tradeoff_report)
 from subsum.ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
                            _parse_lines, sort_charge)
@@ -307,6 +312,115 @@ def test_parse_trace_memory_bounded_on_brute_dump():
             tracemalloc.stop()
         assert len(parsed) > 14000
         assert peak < 5_000_000, f"parse_trace peaked at {peak} B"
+
+
+# -- cyclic collector pause ------------------------------------------------
+
+@pytest.fixture
+def collector_on():
+    """Enable the cyclic collector for the test, then restore the state found."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@contextlib.contextmanager
+def _collections(probe):
+    """Within the block, append probe() to the yielded list as each collection starts."""
+    seen = []
+
+    def callback(phase, info):
+        if phase == "start":
+            seen.append(probe())
+    gc.callbacks.append(callback)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(callback)
+
+
+def _brute_dump(n=14):
+    led = ComparisonLedger(Mode.FULL_TRACE)
+    brute_force_solve(gen_powers_of_two(n), led)
+    assert len(led.trace) == 1 << n
+    return dump_trace(led.trace)
+
+
+def test_parse_trace_runs_no_collection(collector_on):
+    # 2^14 event tuples: unpaused, the allocations trigger about 23 gen-0
+    # passes, each re-traversing every event parsed so far.
+    text = _brute_dump()
+    parse_code = inspect.unwrap(parse_trace).__code__
+
+    def inside_parse():
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not parse_code:
+            frame = frame.f_back
+        return frame is not None
+    with _collections(inside_parse) as seen:
+        events = parse_trace(text)
+    assert len(events) == 1 << 14
+    assert True not in seen, f"{seen.count(True)} collections ran inside parse_trace"
+    assert gc.isenabled()
+
+
+def test_traced_brute_runs_no_collection_while_recording(collector_on):
+    # A collection after the walk sees the whole trace; one during it would
+    # see part of it.
+    led = ComparisonLedger(Mode.FULL_TRACE)
+    with _collections(lambda: len(led.trace)) as seen:
+        brute_force_solve(gen_powers_of_two(14), led)
+    assert len(led.trace) == 1 << 14
+    partial = [k for k in seen if 0 < k < len(led.trace)]
+    assert not partial, f"collections ran at trace lengths {partial}"
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_pause_restores_collector_state(collector_on, enabled):
+    text = _brute_dump(10)
+    (gc.enable if enabled else gc.disable)()
+    parse_trace(text)
+    assert gc.isenabled() is enabled
+    for solve in (brute_force_solve, mitm_solve):
+        solve(gen_planted(10, 1)[0], ComparisonLedger(Mode.FULL_TRACE))
+        assert gc.isenabled() is enabled
+    with pytest.raises(TraceError, match="line 2"):
+        parse_trace("LIST 1\nbogus\n")
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_pause_restores_collector_when_solve_raises(collector_on, monkeypatch, enabled):
+    # Powers of two at n = 12 walk 4 blocks; the third block's misses raise.
+    record_misses, calls = ComparisonLedger.record_misses, []
+
+    def fail_third(self, lhs, rhs):
+        calls.append(rhs)
+        if len(calls) == 3:
+            raise RuntimeError("record_misses failed")
+        record_misses(self, lhs, rhs)
+    monkeypatch.setattr(ComparisonLedger, "record_misses", fail_third)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError, match="record_misses failed"):
+        brute_force_solve(gen_powers_of_two(12), ComparisonLedger(Mode.FULL_TRACE))
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("solve", [brute_force_solve, mitm_solve])
+def test_only_traced_solves_touch_the_collector(collector_on, solve):
+    inst = gen_random_wide(12, 1)
+    with mock.patch.object(gc, "disable", wraps=gc.disable) as disable, \
+            mock.patch.object(gc, "enable", wraps=gc.enable) as enable, \
+            mock.patch.object(gc, "isenabled", wraps=gc.isenabled) as isenabled:
+        solve(inst)
+        solve(inst, ComparisonLedger())
+        assert (disable.call_count, enable.call_count, isenabled.call_count) == (0, 0, 0)
+        solve(inst, ComparisonLedger(Mode.FULL_TRACE))
+        assert disable.call_count == 1 and enable.call_count == 1
 
 
 # -- witness checking ------------------------------------------------------
