@@ -17,7 +17,7 @@ import sys
 from .bench import (BENCH_ALGOS, fit_growth, group_records, read_records_csv,
                     run_scaling_experiment)
 from .generators import FAMILIES, GeneratorSpec, dumps_meta, generate
-from .ledger import (FULL_TRACE_MAX_N, ComparisonLedger, Mode, dump_trace,
+from .ledger import (FULL_TRACE_MAX_N, ComparisonLedger, dump_trace,
                      tradeoff_report)
 from .model import (_DECIMAL_RE, InstanceFormatError, read_instance, subset_sum,
                     verify, write_instance)
@@ -44,9 +44,10 @@ def _parse_int(value: str) -> int:
     return int(value)
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, *pieces: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        for piece in pieces:
+            fh.write(piece)
 
 
 def _produce(paths, work, write):
@@ -97,22 +98,57 @@ def cmd_gen(args) -> int:
     return 0
 
 
+class _RenderedTrace(list):
+    """A ledger trace that renders its events to text as they arrive.
+
+    record_misses extends a trace once per brute block. Each extend renders
+    every pending event with dump_trace, looked up in this module when
+    called, keeps the text and clears the list, so a traced brute solve
+    holds at most one block of events. render() renders what append added
+    since: brute's EQ compare and EMIT, and all of mitm's events. dump_trace
+    renders each event on its own line, so the pieces concatenate to the
+    dump of the whole trace.
+    """
+
+    __slots__ = ("pieces",)
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def extend(self, events):
+        super().extend(events)
+        self.render()
+
+    def render(self):
+        if self:
+            self.pieces.append(dump_trace(self))
+            self.clear()
+
+
 def _solve_traced(solver, instance, ledger, path):
-    """Run solver, then write its trace to path, as _produce checks it."""
+    """Run solver on a rendering trace, then write the text to path.
+
+    _produce checks path before the solve and writes it only after.
+    """
+    ledger.trace = trace = _RenderedTrace()
+
     def work():
-        return solver(instance, ledger).solution, dump_trace(ledger.trace)
-    return _produce([path], work, lambda result: _write_text(path, result[1]))[0]
+        solution = solver(instance, ledger).solution
+        trace.render()
+        return solution
+
+    return _produce([path], work, lambda _: _write_text(path, *trace.pieces))
 
 
 def cmd_solve(args) -> int:
     instance = read_instance(args.in_path)
+    ledger = ComparisonLedger()
     if args.algo == "dp":
         if args.trace:
             raise CliError("--trace is not supported for the uninstrumented dp solver")
         solution = dp_solve(instance)
-        ledger = ComparisonLedger()
     else:
-        ledger = ComparisonLedger(Mode.FULL_TRACE if args.trace else Mode.COUNTERS_ONLY)
         solver = brute_force_solve if args.algo == "brute" else mitm_solve
         if args.trace:
             solution = _solve_traced(solver, instance, ledger, args.trace)

@@ -184,7 +184,12 @@ def dump_trace(trace) -> str:
     # its _value_, a plain attribute; .value is a Python-level property.
     for kind, run in groupby(trace, type):
         if issubclass(kind, CompareEvent):
-            parts += [f"CMP {lhs} {rhs} {outcome._value_}\n" for lhs, rhs, outcome in run]
+            # Each distinct rhs, such as brute's target, is rendered once.
+            run = list(run)
+            rhs_values = set(map(operator.itemgetter(1), run))
+            rhs_texts = {rhs: f" {rhs} " for rhs in rhs_values}
+            parts += [f"CMP {lhs}{rhs_texts[rhs]}{outcome._value_}\n"
+                      for lhs, rhs, outcome in run]
         elif issubclass(kind, SortedListEvent):
             parts += [f"LIST {event.length}\n" for event in run]
         elif issubclass(kind, EmitEvent):
@@ -195,20 +200,18 @@ def dump_trace(trace) -> str:
 
 
 # One record, exactly as dump_trace writes it, without its "\n". ASCII
-# classes, not \d, so that no other script's digits parse. No capturing
-# groups: sre saves their marks on every repetition of _CHUNK_RE.
+# classes, not \d, so that no other script's digits parse.
 _RECORD = r"CMP -?[0-9]+ -?[0-9]+ (?:EQ|LT|GT)|LIST [0-9]+|EMIT [0-9a-f]+"
-# Records, each ending in "\n", repeated over a chunk of the text.
-_CHUNK_RE = re.compile(rf"(?:(?:{_RECORD})\n)*")
 _CHUNK_CHARS = 1 << 15
 _ORDERINGS = {ordering.value: ordering for ordering in Ordering}
-# A validated chunk's LIST and EMIT records, captured by re.split; the CMP
-# records between them stay whole.
+# A chunk's LIST and EMIT records, captured by re.split; the text between
+# them must be CMP records.
 _LIST_OR_EMIT_RE = re.compile(r"^(LIST [0-9]+|EMIT [0-9a-f]+)\n", re.MULTILINE)
 # split(" ") of CMP records leaves each outcome joined to the next record's
 # "CMP", or to the final "\n".
-_OUTCOME_TOKENS = {code + tail: ordering for code, ordering in _ORDERINGS.items()
-                   for tail in ("\n", "\nCMP")}
+_INNER_OUTCOMES = {code + "\nCMP": ordering for code, ordering in _ORDERINGS.items()}
+_LAST_OUTCOMES = {code + "\n": ordering for code, ordering in _ORDERINGS.items()}
+_OPERAND_CHARS_RE = re.compile(r"[-0-9]*")
 
 
 @_gc_paused()
@@ -222,60 +225,74 @@ def parse_trace(text: str) -> list:
     naming its line number, as does a decimal past the interpreter's
     int-to-str digit limit.
 
-    Each chunk of about _CHUNK_CHARS, cut after a newline, is validated by
-    one _CHUNK_RE match: sre keeps a backtrack frame per repetition, so one
-    match over a 16k-line dump peaks near 7 MB, and chunks keep it under
-    3 MB. A validated chunk is decoded in bulk: its LIST and EMIT records
-    one by one, the runs of CMP records between them column by column. The
-    rest of the text from a chunk that fails validation or holds a decimal
-    past the digit limit goes through the per-line parser. The cyclic
-    collector stays paused throughout (see _gc_paused).
+    The text is decoded in bulk a chunk of about _CHUNK_CHARS at a time,
+    cut after a newline, and each chunk is validated as it is decoded (see
+    _decode_chunk). From the first chunk that is not plain records, each
+    ending in "\n", or that holds a decimal past the digit limit, the rest
+    of the text goes through the per-line parser. The cyclic collector
+    stays paused throughout (see _gc_paused).
     """
     events = []
     start, size, lineno = 0, len(text), 1
     while start < size:
         stop = text.find("\n", start + _CHUNK_CHARS) + 1 or size
         chunk = text[start:stop]
-        if _CHUNK_RE.fullmatch(chunk) is None:
-            break
         try:
-            _extend_chunk(events, chunk)
-        except ValueError:  # a decimal past the digit limit
-            break  # the per-line parser raises it, naming its line
+            events += _decode_chunk(chunk)
+        except (KeyError, ValueError):
+            break  # the per-line parser accepts or names the odd line
         lineno += chunk.count("\n")
         start = stop
     events += _parse_lines(text[start:], lineno)
     return events
 
 
-def _extend_chunk(events: list, chunk: str) -> None:
-    """Append the events of a chunk that _CHUNK_RE validated to events."""
+def _decode_chunk(chunk: str) -> list:
+    """The events of a chunk of records, each ending in "\n".
+
+    Raises KeyError or ValueError, having decoded nothing, if the chunk is
+    anything else or holds a decimal past the digit limit.
+    """
     if "LIST " not in chunk and "EMIT " not in chunk:
-        _extend_compares(events, chunk)
-        return
+        return _decode_compares(chunk)
     # [CMP records, LIST or EMIT record, CMP records, ..., CMP records]
     parts = _LIST_OR_EMIT_RE.split(chunk)
+    events = []
     for at in range(1, len(parts), 2):
-        _extend_compares(events, parts[at - 1])
+        events += _decode_compares(parts[at - 1])
         kind, _, value = parts[at].partition(" ")
         events.append(SortedListEvent(int(value)) if kind == "LIST"
                       else EmitEvent(int(value, 16)))
-    _extend_compares(events, parts[-1])
+    events += _decode_compares(parts[-1])
+    return events
 
 
-def _extend_compares(events: list, records: str) -> None:
-    """Append the CompareEvents of validated CMP records to events.
+def _decode_compares(records: str) -> list:
+    """The CompareEvents of a run of CMP records, validated as they decode.
 
-    Splitting on " " is sound only because the records were validated:
-    it gives 3 tokens per record. Each distinct rhs text, such as brute's
-    target, is converted once.
+    Split on " ", the records are 3 tokens each after a first "CMP": two
+    operands and an outcome joined to the next record's "CMP", or to the
+    final "\n". Outcomes are looked up in _INNER_OUTCOMES and
+    _LAST_OUTCOMES, so anything else raises KeyError. An operand made only
+    of "-" and ASCII digits that int() accepts is exactly -?[0-9]+;
+    anything else raises ValueError. Each distinct rhs text, such as
+    brute's target, is converted once.
     """
+    if not records:
+        return []
     tokens = records.split(" ")
-    rhs_texts = tokens[2::3]
+    if tokens[0] != "CMP" or len(tokens) % 3 != 1:
+        raise ValueError("not a run of CMP records")
+    lhs_texts, rhs_texts = tokens[1::3], tokens[2::3]
     rhs_values = {rhs: int(rhs) for rhs in set(rhs_texts)}
-    events.extend(map(tuple.__new__, repeat(CompareEvent),
-                      zip(map(int, tokens[1::3]), map(rhs_values.__getitem__, rhs_texts),
-                          map(_OUTCOME_TOKENS.__getitem__, tokens[3::3]))))
+    outcomes = [*map(_INNER_OUTCOMES.__getitem__, tokens[3:-1:3]),
+                _LAST_OUTCOMES[tokens[-1]]]
+    if (_OPERAND_CHARS_RE.fullmatch("".join(lhs_texts)) is None
+            or _OPERAND_CHARS_RE.fullmatch("".join(rhs_values)) is None):
+        raise ValueError("an operand is not a decimal integer")
+    return list(map(tuple.__new__, repeat(CompareEvent),
+                    zip(map(int, lhs_texts), map(rhs_values.__getitem__, rhs_texts),
+                        outcomes)))
 
 
 def _parse_lines(text: str, first_lineno: int = 1) -> list:

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
 
 import subsum
-from subsum import (Instance, parse_trace, read_instance,
+from subsum import (ComparisonLedger, GeneratorSpec, Instance, Mode,
+                    brute_force_solve, dump_trace, gen_powers_of_two, generate,
+                    mitm_solve, parse_trace, read_instance,
                     run_scaling_experiment, solution_witness_check, verify,
                     write_instance, write_records_csv)
 from subsum.cli import build_parser, main, meta_path_for
@@ -153,6 +156,43 @@ def test_solve_trace_dump(tmp_path, capsys):
                    "--trace", str(brute_trace)) == 0
     events = parse_trace(brute_trace.read_text())
     assert solution_witness_check(events, inst, ENCODING_SUM_VS_TARGET)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 11, 12, 16])
+@pytest.mark.parametrize("family", ["random", "planted", "powers2"])
+@pytest.mark.parametrize("algo, solver", [("brute", brute_force_solve),
+                                          ("mitm", mitm_solve)])
+def test_solve_trace_bytes_equal_library_dump(tmp_path, capsys, algo, solver,
+                                              family, n):
+    # The CLI renders brute's trace one block of 2^10 masks at a time; the
+    # n values sit around that block size.
+    inst, _ = generate(GeneratorSpec(family=family, n=n, seed=3))
+    path = tmp_path / "i.json"
+    write_instance(inst, path)
+    led = ComparisonLedger(Mode.FULL_TRACE)
+    found = solver(inst, led).found
+    trace = tmp_path / "t.txt"
+    assert run_cli("solve", "--in", str(path), "--algo", algo,
+                   "--trace", str(trace)) == (0 if found else 1)
+    assert trace.read_bytes() == dump_trace(led.trace).encode()
+
+
+def test_solve_trace_memory_per_event(tmp_path, capsys):
+    # A brute trace held as events peaks near 211 B per event; rendered a
+    # block at a time, the CLI holds about 22 B per line until its write.
+    n = 18
+    path = tmp_path / "p.json"
+    write_instance(gen_powers_of_two(n), path)
+    trace = tmp_path / "t.txt"
+    argv = ["solve", "--in", str(path), "--algo", "brute", "--trace", str(trace)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.read_text().count("\n") == 1 << n
+    assert peak < 30 << n, f"solve --trace peaked at {peak / (1 << n):.1f} B per event"
 
 
 def test_solve_trace_refused_above_cap(tmp_path, capsys):

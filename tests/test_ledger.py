@@ -141,10 +141,13 @@ def test_dump_parse_round_trip():
 
 
 def test_parse_trace_rejects_garbage():
-    for line in ["CMP 1 2", "WAT 1", "CMP 1_0 +3 EQ junk", "CMP \u0661 2 EQ",
-                 "LIST +4", "CMP 1 2 eq"]:
-        with pytest.raises(TraceError, match="line 2"):
-            parse_trace("LIST 1\n" + line + "\n")
+    # After a CMP record, " 1 2 LT" splits on " " into a run of tokens that
+    # differs from a valid one only in the outcome token before it.
+    for first in ["LIST 1", "CMP 0 1 LT"]:
+        for line in ["CMP 1 2", "WAT 1", "CMP 1_0 +3 EQ junk", "CMP \u0661 2 EQ",
+                     "LIST +4", "CMP 1 2 eq", " 1 2 LT", "CMP 5-3 2 LT"]:
+            with pytest.raises(TraceError, match="line 2"):
+                parse_trace(first + "\n" + line + "\n")
 
 
 def test_record_misses_bulk_matches_record_compare():
@@ -195,6 +198,10 @@ record_lines = st.one_of(
 odd_lines = st.sampled_from([
     "", " ", "\t", "CMP 1 2", "CMP 1 2 EQ ", " LIST 3", "EMIT 1A", "LIST -1",
     "CMP 1_0 2 LT", "CMP +1 2 GT", "CMP \u0661 2 EQ", "CMP 1  2 EQ", "LIST 0x1",
+    # Made only of "-" and digits, yet not decimal integers.
+    "CMP 5-3 2 LT", "CMP - 2 LT", "CMP --5 2 GT", "CMP 1 2- EQ",
+    # Records glued together, or split on " " into a bare outcome token.
+    "CMP 1 2 LTCMP 3 4 GT", " 1 2 LT",
 ])
 separators = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c",
                               "\x1c", "\x85", "\u2028"])
@@ -284,6 +291,12 @@ events = st.one_of(
 )
 
 
+@given(st.lists(events, max_size=30), st.lists(events, max_size=30))
+def test_dump_trace_concatenates(head, tail):
+    # The CLI renders a trace a batch of events at a time and joins the text.
+    assert dump_trace(head + tail) == dump_trace(head) + dump_trace(tail)
+
+
 @given(st.lists(events, max_size=60), CHUNK_SIZES)
 def test_dump_parse_round_trip_random(trace, chunk):
     text = dump_trace(trace)
@@ -294,9 +307,8 @@ def test_dump_parse_round_trip_random(trace, chunk):
 
 
 def test_parse_trace_memory_bounded_on_brute_dump():
-    # About 16k lines. Validating the whole text with one regex keeps one
-    # backtrack frame per line and peaks near 7 MB; chunked parsing stays
-    # under 3 MB.
+    # About 16k lines, whose events take about 2 MB. Decoding a chunk at a
+    # time holds the split tokens of one chunk only, not of the whole text.
     for seed in (1, 2):
         inst, _ = gen_planted(14, seed, 13)
         led = ComparisonLedger(Mode.FULL_TRACE)
