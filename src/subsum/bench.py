@@ -9,9 +9,7 @@ fits slope 1.0 and one proportional to sqrt(2^n) fits slope 0.5.
 from __future__ import annotations
 
 import csv
-import errno
 import math
-import os
 import re
 import statistics
 import sys
@@ -91,17 +89,15 @@ def _solver_for(algo: str):
 
 
 def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
-                           step: int, trials: int, master_seed: int,
-                           csv_path=None, *, planted_size: int | None = None,
-                           force: bool = False) -> list[ExperimentRecord]:
-    """One record per (n, trial), in order; optionally written to a fresh CSV file.
+                           step: int, trials: int, master_seed: int, *,
+                           planted_size: int | None = None) -> list[ExperimentRecord]:
+    """One record per (n, trial), in order.
 
     Per-row seeds are derived statelessly from (master_seed, n, trial), so
     the rows a run produces never depend on which other rows ran. A row
     whose solver cap is exceeded, or that is smaller than planted_size, is
     skipped with a warning on stderr. The grid is refused before any row
-    runs unless GeneratorSpec accepts it at n_max and 0 <= n_min <= n_max,
-    and so is an existing csv_path unless force is set.
+    runs unless GeneratorSpec accepts it at n_max and 0 <= n_min <= n_max.
     """
     GeneratorSpec(family, n_max, master_seed, planted_size)
     if not 0 <= n_min <= n_max:
@@ -111,8 +107,6 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     solver = _solver_for(algo)
-    if csv_path is not None and not force and os.path.lexists(csv_path):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(csv_path))
     records = []
     for n in range(n_min, n_max + 1, step):
         for trial in range(trials):
@@ -133,15 +127,12 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
                 elementary_ops=result.elementary_ops,
                 wall_time=round(elapsed, 6),  # matches the CSV's precision
             ))
-    if csv_path is not None:
-        write_records_csv(records, csv_path, force=force)
     return records
 
 
-def write_records_csv(records, path, *, force: bool = False) -> None:
-    """Write rows to a fresh CSV file; refuses to touch an existing one."""
-    mode = "w" if force else "x"
-    with open(path, mode, encoding="utf-8", newline="") as fh:
+def write_records_csv(records, path) -> None:
+    """Write rows to path, sorted by (n, trial), replacing what it held."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for r in sorted(records, key=lambda r: (r.n, r.trial)):

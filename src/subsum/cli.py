@@ -9,13 +9,14 @@ I/O). All configuration is via flags; no environment variables.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import re
 import sys
 
 from .bench import (BENCH_ALGOS, fit_growth, group_records, read_records_csv,
-                    run_scaling_experiment)
+                    run_scaling_experiment, write_records_csv)
 from .generators import FAMILIES, GeneratorSpec, dumps_meta, generate
 from .ledger import (FULL_TRACE_MAX_N, ComparisonLedger, dump_trace,
                      tradeoff_report)
@@ -151,6 +152,9 @@ def cmd_solve(args) -> int:
     else:
         solver = brute_force_solve if args.algo == "brute" else mitm_solve
         if args.trace:
+            # Writing the trace would replace the instance it was read from.
+            if os.path.exists(args.trace) and os.path.samefile(args.in_path, args.trace):
+                raise CliError(f"--trace {args.trace} is the --in file")
             solution = _solve_traced(solver, instance, ledger, args.trace)
         else:
             solution = solver(instance, ledger).solution
@@ -163,10 +167,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    records = run_scaling_experiment(
-        args.algo, args.family, args.n_min, args.n_max, args.step,
-        args.trials, args.seed, csv_path=args.out,
-        planted_size=args.size, force=args.force)
+    if not args.force and os.path.lexists(args.out):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
+    records = _produce(
+        [args.out],
+        lambda: run_scaling_experiment(
+            args.algo, args.family, args.n_min, args.n_max, args.step,
+            args.trials, args.seed, planted_size=args.size),
+        lambda rows: write_records_csv(rows, args.out))
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
 
@@ -267,6 +275,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, CapExceededError, InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # never exit 1, which reads as "no solution"
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

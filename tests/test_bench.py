@@ -32,8 +32,7 @@ def test_fit_rejects_nonpositive_counts():
 
 
 def test_mitm_powers2_forced_columns(tmp_path):
-    path = tmp_path / "mitm.csv"
-    records = run_scaling_experiment("mitm", "powers2", 16, 24, 2, 1, 0, path)
+    records = run_scaling_experiment("mitm", "powers2", 16, 24, 2, 1, 0)
     assert [r.n for r in records] == [16, 18, 20, 22, 24]
     for r in records:
         assert r.peak_sorted_len == 2 ** (r.n // 2)
@@ -44,12 +43,12 @@ def test_mitm_powers2_forced_columns(tmp_path):
     # T carries lower-order sort terms, hence the wider window
     fit_t = fit_growth([(r.n, r.elementary_ops) for r in records])
     assert 0.4 <= fit_t.slope <= 0.6
-    assert read_records_csv(path) == records
+    write_records_csv(records, tmp_path / "mitm.csv")
+    assert read_records_csv(tmp_path / "mitm.csv") == records
 
 
-def test_brute_powers2_exact_counts(tmp_path):
-    records = run_scaling_experiment("brute", "powers2", 8, 14, 1, 1, 0,
-                                     tmp_path / "brute.csv")
+def test_brute_powers2_exact_counts():
+    records = run_scaling_experiment("brute", "powers2", 8, 14, 1, 1, 0)
     for r in records:
         assert r.compare_count == 2 ** r.n
         assert r.peak_sorted_len == 1
@@ -61,52 +60,45 @@ def test_brute_powers2_exact_counts(tmp_path):
     assert tradeoff_report(records).ok
 
 
-def test_rows_deterministic_except_wall_time(tmp_path):
-    a = run_scaling_experiment("mitm", "random", 4, 10, 2, 3, 123,
-                               tmp_path / "a.csv")
-    b = run_scaling_experiment("mitm", "random", 4, 10, 2, 3, 123,
-                               tmp_path / "b.csv")
+def test_rows_deterministic_except_wall_time():
+    a = run_scaling_experiment("mitm", "random", 4, 10, 2, 3, 123)
+    b = run_scaling_experiment("mitm", "random", 4, 10, 2, 3, 123)
     strip = lambda rs: [(r.n, r.family, r.algo, r.seed, r.trial,
                          r.compare_count, r.peak_sorted_len, r.elementary_ops)
                         for r in rs]
     assert strip(a) == strip(b)
 
 
-def test_trials_get_distinct_seeds(tmp_path):
-    records = run_scaling_experiment("mitm", "random", 6, 6, 1, 3, 7,
-                                     tmp_path / "t.csv")
+def test_trials_get_distinct_seeds():
+    records = run_scaling_experiment("mitm", "random", 6, 6, 1, 3, 7)
     assert len(records) == 3
     assert len({r.seed for r in records}) == 3
     assert [r.trial for r in records] == [0, 1, 2]
 
 
-def test_planted_family_rows(tmp_path):
+def test_planted_family_rows():
     records = run_scaling_experiment("mitm", "planted", 6, 9, 1, 1, 5,
-                                     tmp_path / "p.csv", planted_size=3)
+                                     planted_size=3)
     assert len(records) == 4
 
 
-def test_planted_size_above_n_skips_row(tmp_path, capsys):
+def test_planted_size_above_n_skips_row(capsys):
     records = run_scaling_experiment("mitm", "planted", 4, 6, 1, 1, 5,
-                                     tmp_path / "ps.csv", planted_size=5)
+                                     planted_size=5)
     assert [r.n for r in records] == [5, 6]
     assert "skipping n=4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", ["powers2", "random"])
-def test_planted_size_refused_for_other_families(tmp_path, family):
+def test_planted_size_refused_for_other_families(family):
     with pytest.raises(ValueError, match="planted"):
-        run_scaling_experiment("mitm", family, 4, 6, 1, 1, 5,
-                               tmp_path / "x.csv", planted_size=2)
-    assert not (tmp_path / "x.csv").exists()
+        run_scaling_experiment("mitm", family, 4, 6, 1, 1, 5, planted_size=2)
 
 
 @pytest.mark.parametrize("master_seed", [-1, 1 << 64])
-def test_master_seed_outside_64_bits_refused(tmp_path, master_seed):
+def test_master_seed_outside_64_bits_refused(master_seed):
     with pytest.raises(ValueError, match="seed"):
-        run_scaling_experiment("mitm", "powers2", 4, 6, 1, 1, master_seed,
-                               tmp_path / "x.csv")
-    assert not (tmp_path / "x.csv").exists()
+        run_scaling_experiment("mitm", "powers2", 4, 6, 1, 1, master_seed)
 
 
 def test_unknown_family_refused_on_empty_grid():
@@ -115,19 +107,15 @@ def test_unknown_family_refused_on_empty_grid():
 
 
 @pytest.mark.parametrize("size", [7, -1])
-def test_planted_size_no_row_fits_refused(tmp_path, size):
+def test_planted_size_no_row_fits_refused(size):
     with pytest.raises(ValueError, match=r"planted_size must be in \[0, 6\]"):
-        run_scaling_experiment("mitm", "planted", 4, 6, 1, 1, 5,
-                               tmp_path / "x.csv", planted_size=size)
-    assert not (tmp_path / "x.csv").exists()
+        run_scaling_experiment("mitm", "planted", 4, 6, 1, 1, 5, planted_size=size)
 
 
 @pytest.mark.parametrize("n_min, n_max", [(8, 4), (-1, 4)])
-def test_empty_or_negative_grid_refused(tmp_path, n_min, n_max):
+def test_empty_or_negative_grid_refused(n_min, n_max):
     with pytest.raises(ValueError, match="n_min"):
-        run_scaling_experiment("mitm", "powers2", n_min, n_max, 1, 1, 0,
-                               tmp_path / "x.csv")
-    assert not (tmp_path / "x.csv").exists()
+        run_scaling_experiment("mitm", "powers2", n_min, n_max, 1, 1, 0)
 
 
 def test_cap_exceeded_rows_skipped(tmp_path, capsys, monkeypatch):
@@ -135,42 +123,18 @@ def test_cap_exceeded_rows_skipped(tmp_path, capsys, monkeypatch):
     real = bench_mod.brute_force_solve
     monkeypatch.setattr(bench_mod, "brute_force_solve",
                         lambda inst, led: real(inst, led, max_n=6))
-    records = run_scaling_experiment("brute", "powers2", 5, 8, 1, 1, 0,
-                                     tmp_path / "skip.csv")
+    records = run_scaling_experiment("brute", "powers2", 5, 8, 1, 1, 0)
     assert [r.n for r in records] == [5, 6]
     err = capsys.readouterr().err
     assert "skipping n=7" in err and "skipping n=8" in err
     # the written CSV holds only the surviving rows
+    write_records_csv(records, tmp_path / "skip.csv")
     assert len(read_records_csv(tmp_path / "skip.csv")) == 2
 
 
-def test_csv_refuses_existing_file(tmp_path):
-    path = tmp_path / "out.csv"
-    path.write_text("already here")
-    with pytest.raises(FileExistsError):
-        run_scaling_experiment("mitm", "powers2", 4, 8, 1, 1, 0, path)
-    assert path.read_text() == "already here"
-    run_scaling_experiment("mitm", "powers2", 4, 8, 1, 1, 0, path, force=True)
-    assert path.read_text().startswith("n,family,algo,seed,trial,C,M,T,wall_time")
-
-
-def test_csv_refused_before_any_row_runs(tmp_path, monkeypatch):
-    import subsum.bench as bench_mod
-    calls = []
-    real = bench_mod.brute_force_solve
-    monkeypatch.setattr(bench_mod, "brute_force_solve",
-                        lambda inst, led: calls.append(inst.n) or real(inst, led))
-    path = tmp_path / "out.csv"
-    path.write_text("already here")
-    with pytest.raises(FileExistsError, match="File exists"):
-        run_scaling_experiment("brute", "powers2", 4, 8, 1, 1, 0, path)
-    assert calls == []
-    assert path.read_text() == "already here"
-
-
 def test_csv_round_trip_and_write_order(tmp_path):
-    records = run_scaling_experiment("brute", "powers2", 4, 8, 2, 2, 9,
-                                     tmp_path / "r.csv")
+    records = run_scaling_experiment("brute", "powers2", 4, 8, 2, 2, 9)
+    write_records_csv(records, tmp_path / "r.csv")
     loaded = read_records_csv(tmp_path / "r.csv")
     assert loaded == records
     assert [(r.n, r.trial) for r in loaded] == sorted((r.n, r.trial) for r in loaded)
@@ -227,9 +191,8 @@ def test_read_refuses_wall_time_it_never_writes(tmp_path, text):
         read_records_csv(path)
 
 
-def test_group_records(tmp_path):
-    records = run_scaling_experiment("brute", "powers2", 4, 7, 1, 1, 0,
-                                     tmp_path / "g.csv")
+def test_group_records():
+    records = run_scaling_experiment("brute", "powers2", 4, 7, 1, 1, 0)
     groups = group_records(records)
     assert set(groups) == {("brute", "powers2")}
     assert groups[("brute", "powers2")] == records

@@ -250,37 +250,70 @@ def test_refused_traced_solve_leaves_no_trace_file(tmp_path, capsys, monkeypatch
     assert parse_trace(trace.read_text())[0].length == 4
 
 
+class _FullDisk:
+    """A file whose first write stores 10 characters and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:10])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def _fill_disk(monkeypatch, module):
+    """Make module's open(path, "w") return a _FullDisk."""
+    def full_disk_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        return _FullDisk(fh) if mode == "w" else fh
+    monkeypatch.setattr(module, "open", full_disk_open, raising=False)
+
+
 def test_failed_trace_write_removes_the_partial_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "i.json"
     write_instance(Instance((2, 3, 5), 8), path)
     trace = tmp_path / "t.txt"
     trace.write_text("old trace\n")
-    real_open = open
-
-    class FullDisk:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, text):
-            self.fh.write(text[:10])
-            self.fh.flush()
-            raise OSError(28, "No space left on device")
-
-    def full_disk_open(file, mode="r", **kwargs):
-        fh = real_open(file, mode, **kwargs)
-        return FullDisk(fh) if mode == "w" else fh
-
-    monkeypatch.setattr(subsum.cli, "open", full_disk_open, raising=False)
+    _fill_disk(monkeypatch, subsum.cli)
     assert run_cli("solve", "--in", str(path), "--algo", "brute",
                    "--trace", str(trace)) == 2
     assert "No space left" in capsys.readouterr().err
     assert not trace.exists()
+
+
+def test_solve_out_of_memory_exits_2_and_leaves_no_trace(tmp_path, capsys, monkeypatch):
+    # Exit 1 would read as NOSOLUTION.
+    monkeypatch.setattr(subsum.cli, "brute_force_solve", mock.Mock(side_effect=MemoryError))
+    path = tmp_path / "i.json"
+    write_instance(Instance((2, 3, 5), 8), path)
+    trace = tmp_path / "t.txt"
+    assert run_cli("solve", "--in", str(path), "--algo", "brute",
+                   "--trace", str(trace)) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert os.listdir(tmp_path) == ["i.json"]
+
+
+def test_solve_trace_onto_its_own_input_refused(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(subsum.cli, "mitm_solve", _counting(subsum.cli.mitm_solve, calls))
+    path = tmp_path / "same.json"
+    write_instance(Instance((2, 3, 5), 8), path)
+    before = path.read_bytes()
+    os.link(path, tmp_path / "link.json")
+    for trace in (path, tmp_path / "." / "same.json", tmp_path / "link.json"):
+        assert run_cli("solve", "--in", str(path), "--algo", "mitm",
+                       "--trace", str(trace)) == 2
+        assert "is the --in file" in capsys.readouterr().err
+    assert calls == []
+    assert path.read_bytes() == before
+    assert run_cli("solve", "--in", str(path), "--algo", "mitm") == 0
 
 
 def test_solve_trace_refused_for_dp(tmp_path, capsys):
@@ -376,6 +409,100 @@ def test_bench_refuses_existing_csv(tmp_path, capsys):
     assert run_cli("bench", "--algo", "mitm", "--family", "powers2",
                    "--n-min", "4", "--n-max", "8", "--out", str(path),
                    "--force") == 0
+
+
+def test_csv_refuses_existing_file(tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    path.write_text("already here")
+    argv = ["bench", "--algo", "mitm", "--family", "powers2", "--n-min", "4",
+            "--n-max", "8", "--out", str(path)]
+    assert run_cli(*argv) == 2
+    assert f"error: [Errno 17] File exists: '{path}'" in capsys.readouterr().err
+    assert path.read_text() == "already here"
+    assert run_cli(*argv, "--force") == 0
+    assert path.read_text().startswith("n,family,algo,seed,trial,C,M,T,wall_time")
+
+
+def test_csv_refused_before_any_row_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(subsum.bench, "brute_force_solve",
+                        _counting(subsum.bench.brute_force_solve, calls))
+    path = tmp_path / "out.csv"
+    path.write_text("already here")
+    assert run_cli("bench", "--algo", "brute", "--family", "powers2",
+                   "--n-min", "4", "--n-max", "8", "--out", str(path)) == 2
+    assert "File exists" in capsys.readouterr().err
+    assert calls == []
+    assert path.read_text() == "already here"
+
+
+@pytest.mark.parametrize("out, force", [("missing/x.csv", []), ("d", ["--force"])])
+def test_bench_unwritable_out_refused_before_any_row_runs(tmp_path, capsys, monkeypatch,
+                                                          out, force):
+    calls = []
+    monkeypatch.setattr(subsum.bench, "brute_force_solve",
+                        _counting(subsum.bench.brute_force_solve, calls))
+    (tmp_path / "d").mkdir()
+    assert run_cli("bench", "--algo", "brute", "--family", "powers2", "--n-min", "4",
+                   "--n-max", "8", "--out", str(tmp_path / out), *force) == 2
+    assert "error" in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(tmp_path) == ["d"]
+    assert os.listdir(tmp_path / "d") == []
+
+
+@pytest.mark.parametrize("existing", [None, "old rows\n"])
+def test_bench_failed_csv_write_removes_the_partial_file(tmp_path, capsys, monkeypatch,
+                                                         existing):
+    path = tmp_path / "x.csv"
+    argv = ["bench", "--algo", "mitm", "--family", "powers2", "--n-min", "4",
+            "--n-max", "8", "--out", str(path), "--force"]
+    if existing is not None:
+        path.write_text(existing)
+    _fill_disk(monkeypatch, subsum.bench)
+    assert run_cli(*argv) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("existing", [None, "old rows\n"])
+def test_bench_row_that_raises_keeps_old_csv(tmp_path, capsys, monkeypatch, existing):
+    path = tmp_path / "x.csv"
+    if existing is not None:
+        path.write_text(existing)
+    monkeypatch.setattr(subsum.bench, "mitm_solve", mock.Mock(side_effect=MemoryError))
+    assert run_cli("bench", "--algo", "mitm", "--family", "powers2", "--n-min", "4",
+                   "--n-max", "8", "--out", str(path), "--force") == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_text() == existing
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("powers2 --n-min 4 --n-max 6 --size 2", "planted"),
+    ("random --n-min 4 --n-max 6 --size 2", "planted"),
+    ("powers2 --n-min 4 --n-max 6 --seed -1", "seed"),
+    (f"powers2 --n-min 4 --n-max 6 --seed {1 << 64}", "seed"),
+    ("planted --n-min 4 --n-max 6 --size 7", "planted_size must be in [0, 6]"),
+    ("planted --n-min 4 --n-max 6 --size -1", "planted_size must be in [0, 6]"),
+    ("powers2 --n-min 8 --n-max 4", "n_min"),
+    ("powers2 --n-min -1 --n-max 4", "n_min"),
+])
+@pytest.mark.parametrize("existing", [None, "old rows\n"])
+def test_bench_refused_grid_writes_no_file(tmp_path, capsys, grid, message, existing):
+    path = tmp_path / "x.csv"
+    argv = ["bench", "--algo", "mitm", "--family", *grid.split(), "--out", str(path)]
+    if existing is not None:
+        path.write_text(existing)
+        argv.append("--force")
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+    if existing is None:
+        assert os.listdir(tmp_path) == []
+    else:
+        assert path.read_text() == existing
 
 
 def test_bench_size_outside_planted_rejected(tmp_path, capsys):
@@ -509,3 +636,20 @@ def test_readme_cli_example_as_a_subprocess(tmp_path):
         0, ["SOLUTION 465 14361638014", "C=364 M=256 T=5484"])
     assert subsum_cli("check", "--in", "p.json", "--mask", "465") == (
         0, ["MATCH 465 14361638014"])
+
+
+def test_readme_library_example_as_a_subprocess(tmp_path):
+    src = os.path.dirname(os.path.dirname(subsum.__file__))
+    readme = os.path.join(os.path.dirname(src), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## Library use\n"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("```\n", start)]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # README's "# " line shows what the block prints.
+    shown = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+    assert proc.stdout.splitlines() == shown == ["0x14 8 88"]
