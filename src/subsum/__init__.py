@@ -16,7 +16,7 @@ from .bench import (ExperimentRecord, GrowthFit, fit_growth, group_records,
                     write_records_csv)
 from .generators import (GeneratorSpec, InstanceMeta, gen_planted,
                          gen_powers_of_two, gen_random_wide, generate)
-from .ledger import (ComparisonLedger, CompareEvent, EmitEvent, Mode,
+from .ledger import (ComparisonLedger, CompareEvent, EmitEvent,
                      Ordering, SortedListEvent, TraceError, dump_trace,
                      parse_trace, solution_witness_check, tradeoff_report)
 from .model import (Instance, InstanceFormatError, dumps_instance,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceededError", "ComparisonLedger", "CompareEvent", "EmitEvent",
     "ExperimentRecord", "GeneratorSpec", "GrowthFit", "Half", "HalfSumEntry",
-    "Instance", "InstanceFormatError", "InstanceMeta", "Mode", "Ordering",
+    "Instance", "InstanceFormatError", "InstanceMeta", "Ordering",
     "SolveResult", "SortedListEvent", "SplitMix64", "TraceError",
     "brute_force_solve", "derive_seed", "dp_solve", "dump_trace",
     "dumps_instance", "fit_growth", "gen_planted", "gen_powers_of_two",

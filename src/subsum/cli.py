@@ -128,11 +128,11 @@ class _RenderedTrace(list):
 
 
 def _solve_traced(solver, instance, ledger, path):
-    """Run solver on a rendering trace, then write the text to path.
+    """Run solver on ledger's _RenderedTrace, then write the text to path.
 
     _produce checks path before the solve and writes it only after.
     """
-    ledger.trace = trace = _RenderedTrace()
+    trace = ledger.trace
 
     def work():
         solution = solver(instance, ledger).solution
@@ -144,7 +144,7 @@ def _solve_traced(solver, instance, ledger, path):
 
 def cmd_solve(args) -> int:
     instance = read_instance(args.in_path)
-    ledger = ComparisonLedger()
+    ledger = ComparisonLedger(_RenderedTrace() if args.trace else None)
     if args.algo == "dp":
         if args.trace:
             raise CliError("--trace is not supported for the uninstrumented dp solver")

@@ -12,11 +12,12 @@ The charging model is fixed so that runs are comparable across machines:
   +1 per comparison, +1 per candidate sum generated, +k per sorted-list
   build of k entries, +ceil(k * log2(k)) per sort of k entries.
 
-A ledger is single-writer: one solver run owns one ledger. A ledger whose
-trace is a list (FULL_TRACE mode) records each charged comparison, sorted
-list build, and solution emission as an event; dump_trace and parse_trace
-convert events to and from the line format, and solution_witness_check
-replays them. Solvers refuse a tracing ledger above n = FULL_TRACE_MAX_N.
+A ledger is single-writer: one solver run owns one ledger. A ledger given
+a trace list, as in ComparisonLedger([]), appends each charged comparison,
+sorted list build, and solution emission to it as an event; dump_trace
+and parse_trace convert events to and from the line format, and
+solution_witness_check replays them. Solvers refuse a tracing ledger
+above n = FULL_TRACE_MAX_N.
 
 parse_trace and traced solves pause CPython's cyclic garbage collector and
 then restore its prior state: events are acyclic, so reference counting
@@ -63,11 +64,6 @@ class Ordering(enum.Enum):
     GT = "GT"
 
 
-class Mode(enum.Enum):
-    COUNTERS_ONLY = "counters"
-    FULL_TRACE = "trace"
-
-
 class CompareEvent(NamedTuple):
     lhs: int
     rhs: int
@@ -111,16 +107,16 @@ def sort_charge(length: int) -> int:
 
 
 class ComparisonLedger:
-    """Counters plus optional event trace for one solver run."""
+    """Counters for one solver run, plus its events if given a trace list."""
 
     __slots__ = ("compare_count", "elementary_ops", "peak_sorted_len",
                  "trace", "encoding")
 
-    def __init__(self, mode: Mode = Mode.COUNTERS_ONLY):
+    def __init__(self, trace: list | None = None):
         self.compare_count = 0
         self.elementary_ops = 0
         self.peak_sorted_len = 1
-        self.trace: list | None = [] if mode is Mode.FULL_TRACE else None
+        self.trace = trace
         self.encoding = ENCODING_SUM_VS_TARGET
 
     def charge_compares(self, count: int) -> None:
@@ -429,6 +425,8 @@ def tradeoff_report(records) -> TradeoffReport:
             peak_sorted_len=m,
             elementary_ops=t,
             t_ge_m_ge_1=t >= m >= 1,
-            mt_ge_pow2n=m * t >= (1 << rec.n),
+            # M*T >= 2^n without building 2^n, which a CSV's n could make
+            # huge, or a shift, which a negative n would make raise.
+            mt_ge_pow2n=m * t > 0 and (m * t).bit_length() > rec.n,
         ))
     return TradeoffReport(rows)

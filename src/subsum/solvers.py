@@ -19,7 +19,7 @@ identical results and identical counters on every run.
 from __future__ import annotations
 
 import enum
-import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import length_hint
 from typing import NamedTuple
@@ -64,20 +64,6 @@ class SolveResult:
         return self.solution is not None
 
 
-def _paused_when_tracing(solve):
-    """Run solve with the cyclic collector paused if its ledger traces.
-
-    A counters-only call goes straight to solve and leaves gc alone.
-    """
-    @functools.wraps(solve)
-    def run(instance, ledger=None, **caps):
-        if ledger is None or ledger.trace is None:
-            return solve(instance, ledger, **caps)
-        with _gc_paused():
-            return solve(instance, ledger, **caps)
-    return run
-
-
 def _result(instance: Instance, ledger: ComparisonLedger, solution) -> SolveResult:
     """Emit and verify a found mask, then snapshot the ledger's counters."""
     if solution is not None:
@@ -88,9 +74,14 @@ def _result(instance: Instance, ledger: ComparisonLedger, solution) -> SolveResu
                        ledger.elementary_ops)
 
 
-def _start_run(instance: Instance, ledger: ComparisonLedger | None, encoding: str,
-               solver: str, max_n: int) -> ComparisonLedger:
-    """The run's ledger, fresh if None; refuses n past a cap and a used ledger."""
+@contextmanager
+def _run(instance: Instance, ledger: ComparisonLedger | None, encoding: str,
+         solver: str, max_n: int):
+    """The run's ledger, fresh if None; refuses n past a cap and a used ledger.
+
+    A tracing ledger's run has the cyclic collector paused (see _gc_paused);
+    a counters-only run leaves gc alone.
+    """
     if instance.n > max_n:
         raise CapExceededError(f"{solver} is capped at n={max_n}, got n={instance.n}")
     if ledger is None:
@@ -103,7 +94,11 @@ def _start_run(instance: Instance, ledger: ComparisonLedger | None, encoding: st
         raise ValueError(f"{solver} needs a fresh ledger; this one already "
                          "holds counts or trace events")
     ledger.encoding = encoding
-    return ledger
+    if ledger.trace is None:
+        yield ledger
+    else:
+        with _gc_paused():
+            yield ledger
 
 
 def _lowest_mask(elements, total: int, ledger: ComparisonLedger | None = None) -> int | None:
@@ -145,7 +140,6 @@ def _lowest_mask(elements, total: int, ledger: ComparisonLedger | None = None) -
     return None
 
 
-@_paused_when_tracing
 def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None,
                       *, max_n: int = BRUTE_FORCE_MAX_N) -> SolveResult:
     """Try every mask in ascending numeric order until one hits the target.
@@ -157,12 +151,12 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
     unsolvable instance the comparison count is exactly 2^n. A tracing
     ledger records one event per visited mask, in ascending mask order.
     """
-    ledger = _start_run(instance, ledger, ENCODING_SUM_VS_TARGET, "brute force", max_n)
-    solution = _lowest_mask(instance.elements, instance.target, ledger)
-    visited = 1 << instance.n if solution is None else solution + 1
-    ledger.charge_generated(visited)
-    ledger.charge_compares(visited)
-    return _result(instance, ledger, solution)
+    with _run(instance, ledger, ENCODING_SUM_VS_TARGET, "brute force", max_n) as ledger:
+        solution = _lowest_mask(instance.elements, instance.target, ledger)
+        visited = 1 << instance.n if solution is None else solution + 1
+        ledger.charge_generated(visited)
+        ledger.charge_compares(visited)
+        return _result(instance, ledger, solution)
 
 
 def half_sums(instance: Instance, half: Half) -> list[HalfSumEntry]:
@@ -183,7 +177,6 @@ def half_sums(instance: Instance, half: Half) -> list[HalfSumEntry]:
     return [HalfSumEntry(total, k << start) for k, total in enumerate(sums)]
 
 
-@_paused_when_tracing
 def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
                *, max_n: int = MITM_MAX_N) -> SolveResult:
     """Meet-in-the-middle: sorted half-sum lists plus a two-pointer scan.
@@ -201,61 +194,60 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
     untraced and uncharged, so the smallest front mask, then the smallest
     back mask, wins at the first crossing value.
     """
-    ledger = _start_run(instance, ledger, ENCODING_SPLIT_SUM, "meet-in-the-middle", max_n)
+    with _run(instance, ledger, ENCODING_SPLIT_SUM, "meet-in-the-middle", max_n) as ledger:
+        target = instance.target
+        split = front_size(instance.n)
+        front, back = instance.elements[:split], instance.elements[split:]
+        lo = sorted_subset_sums(front)
+        hi = sorted_subset_sums([-a for a in back], target)
+        ledger.charge_generated(len(lo) + len(hi))
+        ledger.record_sorted_list(len(lo))
+        ledger.charge_sort(len(lo))
+        ledger.record_sorted_list(len(hi))
+        ledger.charge_sort(len(hi))
 
-    target = instance.target
-    split = front_size(instance.n)
-    front, back = instance.elements[:split], instance.elements[split:]
-    lo = sorted_subset_sums(front)
-    hi = sorted_subset_sums([-a for a in back], target)
-    ledger.charge_generated(len(lo) + len(hi))
-    ledger.record_sorted_list(len(lo))
-    ledger.charge_sort(len(lo))
-    ledger.record_sorted_list(len(hi))
-    ledger.charge_sort(len(hi))
-
-    trace = ledger.trace
-    len_lo, len_hi = len(lo), len(hi)
-    j = 0
-    rhs = hi[0]
-    solution = None
-    # rhs is the back head hi[j]. Most steps pass a front sum below it, at
-    # one comparison each. The loop keeps no front index: enumerate() made
-    # each step take twice as long. The iterator's length_hint recovers it.
-    walk = iter(lo)
-    for lhs in walk:
-        if lhs < rhs:
-            if trace is not None:
-                ledger.record_compare(lhs, rhs)
-            continue
-        while rhs < lhs:
-            if trace is not None:
-                ledger.record_compare(lhs, rhs)
-            j += 1
+        trace = ledger.trace
+        len_lo, len_hi = len(lo), len(hi)
+        j = 0
+        rhs = hi[0]
+        solution = None
+        # rhs is the back head hi[j]. Most steps pass a front sum below it, at
+        # one comparison each. The loop keeps no front index: enumerate() made
+        # each step take twice as long. The iterator's length_hint recovers it.
+        walk = iter(lo)
+        for lhs in walk:
+            if lhs < rhs:
+                if trace is not None:
+                    ledger.record_compare(lhs, rhs)
+                continue
+            while rhs < lhs:
+                if trace is not None:
+                    ledger.record_compare(lhs, rhs)
+                j += 1
+                if j == len_hi:
+                    break
+                rhs = hi[j]
             if j == len_hi:
+                break  # the back list ran out
+            # lhs <= rhs now: LT moves on to the next front sum, EQ is a hit.
+            if trace is not None:
+                ledger.record_compare(lhs, rhs)
+            if lhs == rhs:
+                solution = (_lowest_mask(front, lhs)
+                            | _lowest_mask(back, target - rhs) << split)
                 break
-            rhs = hi[j]
-        if j == len_hi:
-            break  # the back list ran out
-        # lhs <= rhs now: LT moves on to the next front sum, EQ is a hit.
-        if trace is not None:
-            ledger.record_compare(lhs, rhs)
-        if lhs == rhs:
-            solution = (_lowest_mask(front, lhs)
-                        | _lowest_mask(back, target - rhs) << split)
-            break
-    else:
-        lhs = None  # the front list ran out
-    # i counts the front entries passed: all of them, or those before lhs.
-    i = len_lo if lhs is None else len_lo - length_hint(walk) - 1
-    # Each miss advanced exactly one pointer and a hit ended the scan, so
-    # the comparisons made are the advances plus the hit: a linear scan.
-    compares = i + j + (solution is not None)
-    if compares > len_lo + len_hi - 1:
-        raise RuntimeError(f"scan made {compares} comparisons over lists of "
-                           f"{len_lo} and {len_hi} entries")
-    ledger.charge_compares(compares)
-    return _result(instance, ledger, solution)
+        else:
+            lhs = None  # the front list ran out
+        # i counts the front entries passed: all of them, or those before lhs.
+        i = len_lo if lhs is None else len_lo - length_hint(walk) - 1
+        # Each miss advanced exactly one pointer and a hit ended the scan, so
+        # the comparisons made are the advances plus the hit: a linear scan.
+        compares = i + j + (solution is not None)
+        if compares > len_lo + len_hi - 1:
+            raise RuntimeError(f"scan made {compares} comparisons over lists of "
+                               f"{len_lo} and {len_hi} entries")
+        ledger.charge_compares(compares)
+        return _result(instance, ledger, solution)
 
 
 def dp_solve(instance: Instance, *, max_range: int = DP_MAX_RANGE) -> int | None:

@@ -8,11 +8,11 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsum import (ComparisonLedger, CompareEvent, EmitEvent,
-                    ExperimentRecord, Instance, Mode, Ordering,
+                    ExperimentRecord, Instance, Ordering,
                     SortedListEvent, TraceError, brute_force_solve,
                     dump_trace, gen_planted, gen_powers_of_two,
                     gen_random_wide, ledger, mitm_solve,
@@ -46,7 +46,7 @@ def test_compare_huge_operands():
 
 @given(st.lists(st.tuples(st.integers(), st.integers()), max_size=50))
 def test_compare_replay_consistency(pairs):
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     for lhs, rhs in pairs:
         led.charge_compares(1)
         led.record_compare(lhs, rhs)
@@ -104,7 +104,7 @@ def test_generation_charge():
 
 
 def test_bulk_charge_and_trace_only_record():
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     assert led.record_compare(4, 9) is Ordering.LT
     assert (led.compare_count, led.elementary_ops) == (0, 0)
     led.charge_compares(5)
@@ -120,7 +120,7 @@ def test_counters_only_has_no_trace():
 
 
 def test_trace_event_order():
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     led.record_sorted_list(2)
     led.record_compare(3, 3)
     led.emit(5)
@@ -151,9 +151,9 @@ def test_parse_trace_rejects_garbage():
 
 
 def test_record_misses_bulk_matches_record_compare():
-    bulk = ComparisonLedger(Mode.FULL_TRACE)
+    bulk = ComparisonLedger([])
     bulk.record_misses([-4, 9, 2, 10 ** 30], 3)
-    one = ComparisonLedger(Mode.FULL_TRACE)
+    one = ComparisonLedger([])
     for lhs in (-4, 9, 2, 10 ** 30):
         one.record_compare(lhs, 3)
     assert bulk.trace == one.trace
@@ -264,7 +264,7 @@ def real_dumps():
     dumps = []
     for solve, n in [(brute_force_solve, 14), (mitm_solve, 24)]:
         inst, _ = gen_planted(n, 1, n - 1)
-        led = ComparisonLedger(Mode.FULL_TRACE)
+        led = ComparisonLedger([])
         solve(inst, led)
         dumps.append(dump_trace(led.trace))
     return dumps
@@ -311,7 +311,7 @@ def test_parse_trace_memory_bounded_on_brute_dump():
     # time holds the split tokens of one chunk only, not of the whole text.
     for seed in (1, 2):
         inst, _ = gen_planted(14, seed, 13)
-        led = ComparisonLedger(Mode.FULL_TRACE)
+        led = ComparisonLedger([])
         brute_force_solve(inst, led)
         text = dump_trace(led.trace)
         assert len(led.trace) > 14000
@@ -355,7 +355,7 @@ def _collections(probe):
 
 
 def _brute_dump(n=14):
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     brute_force_solve(gen_powers_of_two(n), led)
     assert len(led.trace) == 1 << n
     return dump_trace(led.trace)
@@ -382,7 +382,7 @@ def test_parse_trace_runs_no_collection(collector_on):
 def test_traced_brute_runs_no_collection_while_recording(collector_on):
     # A collection after the walk sees the whole trace; one during it would
     # see part of it.
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     with _collections(lambda: len(led.trace)) as seen:
         brute_force_solve(gen_powers_of_two(14), led)
     assert len(led.trace) == 1 << 14
@@ -398,7 +398,7 @@ def test_pause_restores_collector_state(collector_on, enabled):
     parse_trace(text)
     assert gc.isenabled() is enabled
     for solve in (brute_force_solve, mitm_solve):
-        solve(gen_planted(10, 1)[0], ComparisonLedger(Mode.FULL_TRACE))
+        solve(gen_planted(10, 1)[0], ComparisonLedger([]))
         assert gc.isenabled() is enabled
     with pytest.raises(TraceError, match="line 2"):
         parse_trace("LIST 1\nbogus\n")
@@ -408,18 +408,25 @@ def test_pause_restores_collector_state(collector_on, enabled):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_pause_restores_collector_when_solve_raises(collector_on, monkeypatch, enabled):
     # Powers of two at n = 12 walk 4 blocks; the third block's misses raise.
-    record_misses, calls = ComparisonLedger.record_misses, []
+    # mitm's scan there makes 64 comparisons; the third one raises.
+    def fail_third(method):
+        real, calls = getattr(ComparisonLedger, method), []
 
-    def fail_third(self, lhs, rhs):
-        calls.append(rhs)
-        if len(calls) == 3:
-            raise RuntimeError("record_misses failed")
-        record_misses(self, lhs, rhs)
-    monkeypatch.setattr(ComparisonLedger, "record_misses", fail_third)
+        def failing(self, *args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError(f"{method} failed")
+            return real(self, *args)
+        return failing
+
     (gc.enable if enabled else gc.disable)()
-    with pytest.raises(RuntimeError, match="record_misses failed"):
-        brute_force_solve(gen_powers_of_two(12), ComparisonLedger(Mode.FULL_TRACE))
-    assert gc.isenabled() is enabled
+    for solve, method in [(brute_force_solve, "record_misses"),
+                          (mitm_solve, "record_compare")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(ComparisonLedger, method, fail_third(method))
+            with pytest.raises(RuntimeError, match=f"{method} failed"):
+                solve(gen_powers_of_two(12), ComparisonLedger([]))
+        assert gc.isenabled() is enabled
 
 
 @pytest.mark.parametrize("solve", [brute_force_solve, mitm_solve])
@@ -431,7 +438,7 @@ def test_only_traced_solves_touch_the_collector(collector_on, solve):
         solve(inst)
         solve(inst, ComparisonLedger())
         assert (disable.call_count, enable.call_count, isenabled.call_count) == (0, 0, 0)
-        solve(inst, ComparisonLedger(Mode.FULL_TRACE))
+        solve(inst, ComparisonLedger([]))
         assert disable.call_count == 1 and enable.call_count == 1
 
 
@@ -567,6 +574,35 @@ def test_tradeoff_flags_mt_shortfall():
     assert report.rows[0].t_ge_m_ge_1
     assert not report.rows[0].mt_ge_pow2n
     assert report.mt_violations
+
+
+@given(st.integers(-5, 70), st.integers(-3, 1 << 36), st.integers(-3, 1 << 36))
+@example(10, 32, 32)  # M*T = 2^n exactly
+@example(10, 31, 33)  # M*T = 2^n - 1
+def test_tradeoff_mt_check_is_exact(n, m, t):
+    # 2 ** n is an exact float for these negative n.
+    row = tradeoff_report([make_record(n, m, t)]).rows[0]
+    assert row.mt_ge_pow2n == (m * t >= 2 ** n)
+
+
+def test_tradeoff_huge_n_builds_no_power_of_two():
+    # n comes from a CSV; 2^(10^12) would take about 125 GB.
+    tracemalloc.start()
+    try:
+        report = tradeoff_report([make_record(10 ** 12, 2, 100)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.rows[0].mt_ge_pow2n
+    assert "M*T=200 < 2^1000000000000" in report.summary()
+    assert peak < 64 * 1024
+
+
+def test_tradeoff_negative_n():
+    # 2^n < 1 for n < 0, so any positive M*T meets it.
+    report = tradeoff_report([make_record(-1, 1, 1), make_record(-4, 0, 3)])
+    assert [row.mt_ge_pow2n for row in report.rows] == [True, False]
+    assert "M*T=0 < 2^-4" in report.summary()
 
 
 def test_tradeoff_zero_m_violates_floor():

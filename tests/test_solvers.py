@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import oracle_matching_masks, oracle_solvable, simulate_mitm_scan
 import subsum
 from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
-                    EmitEvent, GeneratorSpec, Half, HalfSumEntry, Instance, Mode,
+                    EmitEvent, GeneratorSpec, Half, HalfSumEntry, Instance,
                     Ordering, SplitMix64, brute_force_solve, derive_seed,
                     dp_solve, dump_trace, gen_planted, gen_powers_of_two,
                     gen_random_wide, generate, half_sums, mitm_solve,
@@ -61,7 +61,7 @@ def test_brute_powers2_exhausts_exactly():
 
 
 def test_brute_ascending_order_and_events():
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     inst = Instance((2, 3), 3)
     res = brute_force_solve(inst, led)
     assert res.solution == 0b10
@@ -85,7 +85,7 @@ def test_full_trace_cap_refusal():
     inst = Instance((1,) * 25, 100)
     for solver in (brute_force_solve, mitm_solve):
         with pytest.raises(CapExceededError, match="24"):
-            solver(inst, ComparisonLedger(Mode.FULL_TRACE))
+            solver(inst, ComparisonLedger([]))
 
 
 def test_trace_cap_applies_to_any_tracing_ledger():
@@ -100,11 +100,15 @@ def test_trace_cap_applies_to_any_tracing_ledger():
         assert led.trace == []
 
 
-@pytest.mark.parametrize("mode", list(Mode))
-def test_solvers_refuse_a_used_ledger(mode):
+# The ids are the names these two cases had when an enum chose the trace.
+@pytest.mark.parametrize("traced", [False, True],
+                         ids=["Mode.COUNTERS_ONLY", "Mode.FULL_TRACE"])
+def test_solvers_refuse_a_used_ledger(traced):
     # Reusing a ledger would sum the two runs' counters into one result.
+    # Each ledger gets its own trace list: a list already holding events
+    # makes a used ledger.
     inst = Instance((3, 5, 7), 8)
-    led = ComparisonLedger(mode)
+    led = ComparisonLedger([] if traced else None)
     assert brute_force_solve(inst, led).compare_count == 4
     for solver in (brute_force_solve, mitm_solve):
         with pytest.raises(ValueError, match="fresh ledger"):
@@ -112,11 +116,11 @@ def test_solvers_refuse_a_used_ledger(mode):
     assert (led.compare_count, led.encoding) == (4, ENCODING_SUM_VS_TARGET)
     for field, value in [("compare_count", 1), ("elementary_ops", 1),
                          ("peak_sorted_len", 2)]:
-        led = ComparisonLedger(mode)
+        led = ComparisonLedger([] if traced else None)
         setattr(led, field, value)
         with pytest.raises(ValueError, match="fresh ledger"):
             mitm_solve(inst, led)
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     led.emit(0b11)
     with pytest.raises(ValueError, match="fresh ledger"):
         brute_force_solve(inst, led)
@@ -147,8 +151,8 @@ def test_brute_lowest_mask_across_blocks(inst):
 
 
 def reference_brute_trace(inst):
-    """brute's FULL_TRACE events, one record_compare call per visited mask."""
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    """brute's trace events, one record_compare call per visited mask."""
+    led = ComparisonLedger([])
     for mask in range(1 << inst.n):
         if led.record_compare(subset_sum(inst, mask), inst.target) is Ordering.EQ:
             led.emit(mask)
@@ -162,7 +166,7 @@ def test_brute_bulk_trace_matches_per_mask_reference(inst, bits):
     # Small blocks and ties in [-2, 2] put most hits in a later block, after
     # earlier blocks that hold the same sums.
     with mock.patch.object(subsum.solvers, "BRUTE_BLOCK_BITS", bits):
-        led = ComparisonLedger(Mode.FULL_TRACE)
+        led = ComparisonLedger([])
         brute_force_solve(inst, led)
     assert led.trace == reference_brute_trace(inst)
 
@@ -278,7 +282,7 @@ def test_mitm_cap_refusal():
 
 def test_mitm_trace_shape():
     inst = Instance((4, 5), 9)
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     res = mitm_solve(inst, led)
     assert res.solution == 0b11
     lists = [e for e in led.trace if not isinstance(e, (CompareEvent, EmitEvent))]
@@ -321,7 +325,7 @@ def test_mitm_memory_per_half_entry(inst):
 
 
 def reference_mitm(inst):
-    """mitm's mask, C/M/T and FULL_TRACE events from a pointer-pair while loop.
+    """mitm's mask, C/M/T and trace events from a pointer-pair while loop.
 
     The same half lists and charges as the solver; the scan advances one
     pointer per miss, testing both list bounds before every comparison.
@@ -330,7 +334,7 @@ def reference_mitm(inst):
     front, back = inst.elements[:split], inst.elements[split:]
     lo = sorted_subset_sums(front)
     hi = sorted_subset_sums([-a for a in back], inst.target)
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     led.charge_generated(len(lo) + len(hi))
     for sums in (lo, hi):
         led.record_sorted_list(len(sums))
@@ -378,7 +382,7 @@ def reference_mitm(inst):
 @example(Instance((0, -1, 1) * 7 + (3, 3), 7))
 def test_mitm_scan_equals_while_loop_reference(inst):
     expected, events = reference_mitm(inst)
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     res = mitm_solve(inst, led)
     assert (res.solution, res.compare_count, res.peak_sorted_len,
             res.elementary_ops) == expected
@@ -387,7 +391,7 @@ def test_mitm_scan_equals_while_loop_reference(inst):
 
 @given(small_instances())
 def test_mitm_scan_bound_and_monotonicity(inst):
-    led = ComparisonLedger(Mode.FULL_TRACE)
+    led = ComparisonLedger([])
     res = mitm_solve(inst, led)
     split = (inst.n + 1) // 2
     assert res.compare_count <= (1 << split) + (1 << (inst.n - split)) - 1
@@ -465,8 +469,8 @@ def test_three_way_oracle_agreement(inst):
 @given(small_instances())
 def test_counters_identical_across_modes(inst):
     for solver in (brute_force_solve, mitm_solve):
-        plain = ComparisonLedger(Mode.COUNTERS_ONLY)
-        traced = ComparisonLedger(Mode.FULL_TRACE)
+        plain = ComparisonLedger()
+        traced = ComparisonLedger([])
         res_plain = solver(inst, plain)
         res_traced = solver(inst, traced)
         assert res_plain == res_traced
@@ -485,7 +489,7 @@ def test_deterministic_repeat_runs(inst):
 def test_solver_traces_pass_witness_check(inst):
     for solver, encoding in [(brute_force_solve, ENCODING_SUM_VS_TARGET),
                              (mitm_solve, ENCODING_SPLIT_SUM)]:
-        led = ComparisonLedger(Mode.FULL_TRACE)
+        led = ComparisonLedger([])
         solver(inst, led)
         assert led.encoding == encoding
         assert solution_witness_check(led.trace, inst, led.encoding)
@@ -496,14 +500,14 @@ def test_solver_traces_pass_witness_check(inst):
 def test_golden_traces():
     # Both traces hold LT, GT and EQ outcomes; the texts pin event order.
     inst = Instance((6, 5, -3, 2, 4), 5)
-    brute = ComparisonLedger(Mode.FULL_TRACE)
+    brute = ComparisonLedger([])
     assert brute_force_solve(inst, brute).solution == 0b10
     assert dump_trace(brute.trace) == (
         "CMP 0 5 LT\n"
         "CMP 6 5 GT\n"
         "CMP 5 5 EQ\n"
         "EMIT 2\n")
-    mitm = ComparisonLedger(Mode.FULL_TRACE)
+    mitm = ComparisonLedger([])
     assert mitm_solve(inst, mitm).solution == 0b1101
     assert dump_trace(mitm.trace) == (
         "LIST 8\n"
@@ -518,7 +522,7 @@ def test_golden_traces():
     # Ties everywhere and a hit in the fourth block of 2^10 masks, with LT,
     # GT and EQ outcomes; the digest was taken from the per-mask walk.
     wide = Instance((0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, -2, -3), 2)
-    blocks = ComparisonLedger(Mode.FULL_TRACE)
+    blocks = ComparisonLedger([])
     assert brute_force_solve(wide, blocks).solution == 0b111000000000
     assert hashlib.sha256(dump_trace(blocks.trace).encode()).hexdigest() == (
         "b5b4ab9b41ffc49972fcee7e44ddebaab153b9c0a56a4f3628ef9ab26df6662a")
@@ -526,8 +530,9 @@ def test_golden_traces():
 
 def test_behaviour_digest():
     # sha256 over masks, C/M/T, trace dumps and witness verdicts of both
-    # solvers in both modes, on fixed instances with ties (n <= 12, elements
-    # in [-6, 6], planted and free targets). Any behaviour change moves it.
+    # solvers with and without a trace, on fixed instances with ties
+    # (n <= 12, elements in [-6, 6], planted and free targets). Any
+    # behaviour change moves it.
     digest = hashlib.sha256()
     for k in range(1000):
         rng = SplitMix64(derive_seed(2006, k))
@@ -540,8 +545,8 @@ def test_behaviour_digest():
             target = rng.next_in_range(-6 * n, 6 * n)
         inst = Instance(elements, target)
         for solver in (brute_force_solve, mitm_solve):
-            for mode in Mode:
-                led = ComparisonLedger(mode)
+            for traced in (False, True):
+                led = ComparisonLedger([] if traced else None)
                 res = solver(inst, led)
                 digest.update(repr((res.solution, res.compare_count,
                                     res.peak_sorted_len, res.elementary_ops)).encode())
@@ -564,7 +569,7 @@ def _large_n_rows():
 def test_large_n_behaviour_rows(row):
     # Mask and C/M/T past n = 12, where the digest above stops: mitm halves
     # of 7 to 17 elements (recovery walks several blocks) and brute walks of
-    # 2^1 to 2^10 blocks. Rows with n <= 16 also pin the FULL_TRACE bytes,
+    # 2^1 to 2^10 blocks. Rows with n <= 16 also pin the trace bytes,
     # EMIT included; a trace lists one event per mask in ascending order
     # whatever the block size, so the block size is free.
     inst, _ = generate(GeneratorSpec(row["family"], int(row["n"]), int(row["seed"] or 0)))
@@ -572,7 +577,7 @@ def test_large_n_behaviour_rows(row):
     expected = (row["mask"], int(row["C"]), int(row["M"]), int(row["T"]))
     ledgers = [ComparisonLedger()]
     if row["trace_sha256"]:
-        ledgers.append(ComparisonLedger(Mode.FULL_TRACE))
+        ledgers.append(ComparisonLedger([]))
     for led in ledgers:
         res = solver(inst, led)
         mask = "-" if res.solution is None else f"{res.solution:x}"
@@ -605,7 +610,7 @@ class CallCountingLedger(ComparisonLedger):
     """A ledger that counts every call made to its methods."""
 
     def __init__(self):
-        super().__init__(Mode.COUNTERS_ONLY)
+        super().__init__()
         self.calls = 0
 
     def __getattribute__(self, name):
