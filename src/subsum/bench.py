@@ -21,7 +21,8 @@ from .generators import (FAMILY_POWERS2, FAMILY_RANDOM, GeneratorSpec,
 from .ledger import ComparisonLedger
 from .model import Instance, _parse_decimal
 from .rng import derive_seed
-from .solvers import CapExceededError, brute_force_solve, mitm_solve
+from .solvers import (BRUTE_FORCE_MAX_N, MITM_MAX_N, CapExceededError,
+                      brute_force_solve, mitm_solve)
 
 ALGO_BRUTE = "brute"
 ALGO_MITM = "mitm"
@@ -29,6 +30,8 @@ BENCH_ALGOS = (ALGO_BRUTE, ALGO_MITM)
 
 CSV_FIELDS = ["n", "family", "algo", "seed", "trial", "C", "M", "T", "wall_time"]
 _INT_COLUMNS = (0, 3, 4, 5, 6, 7)
+# The largest n a bench row of each algorithm can have: the solver's cap.
+_N_CAPS = {ALGO_BRUTE: BRUTE_FORCE_MAX_N, ALGO_MITM: MITM_MAX_N}
 _WALL_TIME_RE = re.compile(r"[0-9]+\.[0-9]+")
 
 
@@ -141,15 +144,24 @@ def write_records_csv(records, path) -> None:
                              f"{r.wall_time:.6f}"])
 
 
+def _parse_count(text: str, what: str) -> int:
+    value = _parse_decimal(text, what)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 def read_records_csv(path) -> list[ExperimentRecord]:
     """Read rows in the grammar write_records_csv writes, refusing any other.
 
-    n, seed, trial, C, M and T are decimal integers as instance files write
-    them (int() would also take "1_0", " 7 " and non-ASCII digits), and
-    wall_time is digits.digits (float() would also take "nan" and "1e3").
-    family and algo are free labels. A malformed row raises ValueError
-    naming its line, and a bad integer's column, as does an integer past the
-    interpreter's int-to-str digit limit.
+    n, seed, trial, C, M and T are nonnegative decimal integers as instance
+    files write them (int() would also take "1_0", " 7 " and non-ASCII
+    digits), and wall_time is digits.digits (float() would also take "nan"
+    and "1e3"). family and algo are free labels, but a brute or mitm row's
+    n may not pass that solver's cap, since no bench run writes one. A
+    malformed row raises ValueError naming its line, and a bad integer's
+    column, as does an integer past the interpreter's int-to-str digit
+    limit.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -161,9 +173,12 @@ def read_records_csv(path) -> list[ExperimentRecord]:
             where = f"malformed CSV row at line {reader.line_num}"
             if len(row) != len(CSV_FIELDS) or not _WALL_TIME_RE.fullmatch(row[8]):
                 raise ValueError(f"{where}: {row!r}")
-            try:  # names the column of a non-decimal or over-long integer
-                n, seed, trial, c, m, t = [_parse_decimal(row[i], CSV_FIELDS[i])
+            try:  # names the column of a non-decimal, over-long or negative integer
+                n, seed, trial, c, m, t = [_parse_count(row[i], CSV_FIELDS[i])
                                            for i in _INT_COLUMNS]
+                cap = _N_CAPS.get(row[2])
+                if cap is not None and n > cap:
+                    raise ValueError(f"n={n} is past {row[2]}'s cap of n={cap}")
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             records.append(ExperimentRecord(

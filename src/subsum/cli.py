@@ -102,13 +102,14 @@ def cmd_gen(args) -> int:
 class _RenderedTrace(list):
     """A ledger trace that renders its events to text as they arrive.
 
-    record_misses extends a trace once per brute block. Each extend renders
-    every pending event with dump_trace, looked up in this module when
-    called, keeps the text and clears the list, so a traced brute solve
-    holds at most one block of events. render() renders what append added
-    since: brute's EQ compare and EMIT, and all of mitm's events. dump_trace
-    renders each event on its own line, so the pieces concatenate to the
-    dump of the whole trace.
+    record_misses extends a trace once per brute block, with a run holding
+    the block's sums and target. extend renders what append added before
+    it, then the run, whose lines dump_trace writes from those operands, so
+    no CompareEvent is built for a miss. render() renders and clears what
+    append added since: brute's EQ compare and EMIT, and all of mitm's
+    events. dump_trace, looked up in this module when called, renders each
+    event on its own line, so the pieces concatenate to the dump of the
+    whole trace.
     """
 
     __slots__ = ("pieces",)
@@ -118,8 +119,8 @@ class _RenderedTrace(list):
         self.pieces = []
 
     def extend(self, events):
-        super().extend(events)
         self.render()
+        self.pieces.append(dump_trace(events))
 
     def render(self):
         if self:

@@ -19,6 +19,12 @@ and parse_trace convert events to and from the line format, and
 solution_witness_check replays them. Solvers refuse a tracing ledger
 above n = FULL_TRACE_MAX_N.
 
+record_misses extends a trace with one run per call, which holds only its
+operands (lhs list and rhs) and yields its CompareEvents when iterated. A
+trace that renders as it goes, as `subsum solve --trace` does, passes the
+run to dump_trace, which writes the run's lines straight from its operands,
+so brute's misses reach the file without a CompareEvent being built.
+
 parse_trace and traced solves pause CPython's cyclic garbage collector and
 then restore its prior state: events are acyclic, so reference counting
 frees them, and a collection pass would only re-traverse every live event.
@@ -82,6 +88,28 @@ class EmitEvent(NamedTuple):
 _MISS_OUTCOMES = (Ordering.GT, Ordering.LT)
 
 
+class _Misses:
+    """The CompareEvents of lhs[i] against rhs, in order, none of them EQ.
+
+    One record_misses call, held as its operands: iterating builds the
+    events, and dump_trace renders the run from lhs and rhs directly.
+    """
+
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: list[int], rhs: int):
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __len__(self) -> int:
+        return len(self.lhs)
+
+    def __iter__(self):
+        lhs, rhs = self.lhs, self.rhs
+        outcomes = map(_MISS_OUTCOMES.__getitem__, map(operator.lt, lhs, repeat(rhs)))
+        return map(tuple.__new__, repeat(CompareEvent), zip(lhs, repeat(rhs), outcomes))
+
+
 @contextmanager
 def _gc_paused():
     """Run the block with the cyclic collector off, then restore its state.
@@ -139,16 +167,17 @@ class ComparisonLedger:
     def record_misses(self, lhs: list[int], rhs: int) -> None:
         """Trace lhs[i] against rhs for every i, in order; charges nothing.
 
-        No lhs value may equal rhs, so each outcome is LT or GT. The events
-        are built and appended in one C-level pass rather than one call each.
+        No lhs value may equal rhs, so each outcome is LT or GT. The trace
+        is extended once, with a _Misses run: a list trace gets its
+        CompareEvents, built in one C-level pass, and the CLI's trace hands
+        it to dump_trace, which writes its lines from lhs and rhs without
+        building an event.
         """
         if self.trace is None:
             return
         if rhs in lhs:
             raise ValueError(f"record_misses got an lhs equal to rhs={rhs}")
-        outcomes = map(_MISS_OUTCOMES.__getitem__, map(operator.lt, lhs, repeat(rhs)))
-        self.trace.extend(map(tuple.__new__, repeat(CompareEvent),
-                              zip(lhs, repeat(rhs), outcomes)))
+        self.trace.extend(_Misses(lhs, rhs))
 
     def charge_generated(self, count: int = 1) -> None:
         """Charge unit cost for generating candidate subset sums."""
@@ -174,7 +203,16 @@ class ComparisonLedger:
 
 
 def dump_trace(trace) -> str:
-    """Render a trace in the line format: CMP / LIST / EMIT records."""
+    """Render a trace in the line format: CMP / LIST / EMIT records.
+
+    trace is a sequence of events, or the run that one record_misses call
+    hands its trace, which renders from its operands with no event built.
+    """
+    if type(trace) is _Misses:
+        # Each line is an lhs and one of two tails, both built once.
+        rhs = trace.rhs
+        lt_tail, gt_tail = f" {rhs} LT\n", f" {rhs} GT\n"
+        return "".join([f"CMP {x}{lt_tail if x < rhs else gt_tail}" for x in trace.lhs])
     parts = []
     # One comprehension per run of same-typed events. An outcome's text is
     # its _value_, a plain attribute; .value is a Python-level property.

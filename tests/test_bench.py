@@ -5,6 +5,7 @@ import pytest
 from subsum import (fit_growth, group_records, read_records_csv,
                     run_scaling_experiment, tradeoff_report,
                     write_records_csv)
+from subsum.solvers import BRUTE_FORCE_MAX_N, MITM_MAX_N
 
 
 def test_fit_exact_exponential():
@@ -189,6 +190,39 @@ def test_read_refuses_wall_time_it_never_writes(tmp_path, text):
                     + ",".join(_GOOD_ROW[:-1] + [text]) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="malformed CSV row at line 2"):
         read_records_csv(path)
+
+
+def _write_rows(tmp_path, *rows):
+    path = tmp_path / "r.csv"
+    path.write_text("n,family,algo,seed,trial,C,M,T,wall_time\n"
+                    + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("column", [0, 3, 4, 5, 6, 7])
+def test_read_refuses_negative_integers(tmp_path, column):
+    # No bench run writes a negative n, seed, trial or counter.
+    row = list(_GOOD_ROW)
+    row[column] = "-4"
+    path = _write_rows(tmp_path, _GOOD_ROW, row)
+    name = "n,family,algo,seed,trial,C,M,T".split(",")[column]
+    with pytest.raises(ValueError,
+                       match=f"malformed CSV row at line 3: {name} must be nonnegative, got -4"):
+        read_records_csv(path)
+
+
+@pytest.mark.parametrize("algo, cap", [("brute", BRUTE_FORCE_MAX_N), ("mitm", MITM_MAX_N)])
+def test_read_refuses_n_past_the_solvers_cap(tmp_path, algo, cap):
+    at_cap, past_cap = list(_GOOD_ROW), list(_GOOD_ROW)
+    at_cap[0], at_cap[2] = str(cap), algo
+    past_cap[0], past_cap[2] = str(cap + 1), algo
+    assert [r.n for r in read_records_csv(_write_rows(tmp_path, at_cap))] == [cap]
+    with pytest.raises(ValueError, match=f"malformed CSV row at line 3: n={cap + 1} is past"
+                                         f" {algo}'s cap of n={cap}"):
+        read_records_csv(_write_rows(tmp_path, at_cap, past_cap))
+    # Other algo labels have no cap to check against.
+    past_cap[2] = "hand"
+    assert [r.n for r in read_records_csv(_write_rows(tmp_path, past_cap))] == [cap + 1]
 
 
 def test_group_records():

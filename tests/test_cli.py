@@ -177,6 +177,27 @@ def test_solve_trace_bytes_equal_library_dump(tmp_path, capsys, algo, solver,
     assert trace.read_bytes() == dump_trace(led.trace).encode()
 
 
+@pytest.mark.parametrize("family, n", [("planted", 14), ("random", 11)])
+def test_solve_trace_builds_no_miss_events(tmp_path, capsys, monkeypatch, family, n):
+    # Each brute block reaches the file as one run of record_misses, which
+    # dump_trace renders from its sums; iterating the run would build its
+    # CompareEvents.
+    inst, _ = generate(GeneratorSpec(family=family, n=n, seed=3))
+    path = tmp_path / "i.json"
+    write_instance(inst, path)
+    led = ComparisonLedger([])
+    found = brute_force_solve(inst, led).found
+    assert len(led.trace) > 1024  # more than one block
+
+    def no_events(run):
+        raise AssertionError("a record_misses run was iterated")
+    monkeypatch.setattr(subsum.ledger._Misses, "__iter__", no_events)
+    trace = tmp_path / "t.txt"
+    assert run_cli("solve", "--in", str(path), "--algo", "brute",
+                   "--trace", str(trace)) == (0 if found else 1)
+    assert trace.read_bytes() == dump_trace(led.trace).encode()
+
+
 def test_solve_trace_memory_per_event(tmp_path, capsys):
     # A brute trace held as events peaks near 211 B per event; rendered a
     # block at a time, the CLI holds about 22 B per line until its write.
@@ -547,6 +568,23 @@ def test_report_names_row_of_integer_past_digit_limit(tmp_path, capsys):
                     f"4,hand,x,0,0,{'7' * 5000},1,32,0.000100\n", encoding="utf-8")
     assert run_cli("report", "--csv", str(path)) == 2
     assert "malformed CSV row at line 2: C has 5000 digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("odd, message", [
+    ("-1,hand,x,0,0,4,2,8,0.000000", "n must be nonnegative, got -1"),
+    ("4,hand,x,0,0,-4,2,8,0.000000", "C must be nonnegative, got -4"),
+], ids=["negative_n", "negative_C"])
+def test_report_refuses_rows_no_bench_run_writes(tmp_path, capsys, odd, message):
+    # Rows n = 1, 2, 3, an odd row, then n = 10^12: the odd row is line 5.
+    path = tmp_path / "odd.csv"
+    rows = ["n,family,algo,seed,trial,C,M,T,wall_time"]
+    rows += [f"{n},hand,x,0,0,4,2,8,0.000000" for n in (1, 2, 3)]
+    rows += [odd, f"{10 ** 12},hand,x,0,0,4,2,8,0.000000"]
+    path.write_text("\n".join(rows) + "\n")
+    assert run_cli("report", "--csv", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"malformed CSV row at line 5: {message}" in captured.err
 
 
 def test_report_missing_csv(tmp_path):

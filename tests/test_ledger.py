@@ -5,6 +5,7 @@ import gc
 import inspect
 import sys
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -164,6 +165,24 @@ def test_record_misses_bulk_matches_record_compare():
     plain = ComparisonLedger()
     plain.record_misses([1, 3], 3)
     assert plain.trace is None
+
+
+_OPERANDS = st.one_of(st.integers(), st.integers(min_value=1 << 64, max_value=1 << 200),
+                      st.integers(min_value=-(1 << 200), max_value=-(1 << 64)))
+
+
+@given(st.lists(_OPERANDS, max_size=40), _OPERANDS)
+@example([], 0)
+@example([-7, 0, 1 << 64, (1 << 64) + 1, -(1 << 64)], (1 << 64) - 1)
+def test_misses_run_renders_as_its_events(lhs, rhs):
+    lhs = [x for x in lhs if x != rhs]
+    runs = []
+    ComparisonLedger(SimpleNamespace(extend=runs.append)).record_misses(lhs, rhs)
+    (run,) = runs
+    events = list(run)
+    assert all(type(e) is CompareEvent for e in events)
+    assert len(run) == len(events) == len(lhs)
+    assert dump_trace(run) == dump_trace(events)
 
 
 class CompareSubclass(CompareEvent):
