@@ -9,6 +9,7 @@ fits slope 1.0 and one proportional to sqrt(2^n) fits slope 0.5.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 import statistics
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .generators import (FAMILY_POWERS2, FAMILY_RANDOM, GeneratorSpec,
                          gen_planted, gen_powers_of_two, gen_random_wide)
 from .ledger import ComparisonLedger
-from .model import Instance, _parse_decimal
+from .model import Instance, _parse_decimal, _write_text
 from .rng import derive_seed
 from .solvers import (BRUTE_FORCE_MAX_N, MITM_MAX_N, CapExceededError,
                       brute_force_solve, mitm_solve)
@@ -135,13 +136,14 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
 
 def write_records_csv(records, path) -> None:
     """Write rows to path, sorted by (n, trial), replacing what it held."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for r in sorted(records, key=lambda r: (r.n, r.trial)):
-            writer.writerow([r.n, r.family, r.algo, r.seed, r.trial,
-                             r.compare_count, r.peak_sorted_len, r.elementary_ops,
-                             f"{r.wall_time:.6f}"])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_FIELDS)
+    for r in sorted(records, key=lambda r: (r.n, r.trial)):
+        writer.writerow([r.n, r.family, r.algo, r.seed, r.trial,
+                         r.compare_count, r.peak_sorted_len, r.elementary_ops,
+                         f"{r.wall_time:.6f}"])
+    _write_text(path, text.getvalue())
 
 
 def _parse_count(text: str, what: str) -> int:
@@ -157,11 +159,12 @@ def read_records_csv(path) -> list[ExperimentRecord]:
     n, seed, trial, C, M and T are nonnegative decimal integers as instance
     files write them (int() would also take "1_0", " 7 " and non-ASCII
     digits), and wall_time is digits.digits (float() would also take "nan"
-    and "1e3"). family and algo are free labels, but a brute or mitm row's
-    n may not pass that solver's cap, since no bench run writes one. A
-    malformed row raises ValueError naming its line, and a bad integer's
-    column, as does an integer past the interpreter's int-to-str digit
-    limit.
+    and "1e3"). family and algo are free labels. No bench run writes a
+    seed of 2^64 or more (derive_seed's range), M = 0 (a ledger's peak
+    has a floor of 1) or a brute or mitm row whose n passes that solver's
+    cap, so those are refused too. A malformed row raises ValueError
+    naming its line, and a bad integer's column, as does an integer past
+    the interpreter's int-to-str digit limit.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -179,6 +182,10 @@ def read_records_csv(path) -> list[ExperimentRecord]:
                 cap = _N_CAPS.get(row[2])
                 if cap is not None and n > cap:
                     raise ValueError(f"n={n} is past {row[2]}'s cap of n={cap}")
+                if seed >> 64:
+                    raise ValueError(f"seed must be below 2^64, got {seed}")
+                if m < 1:
+                    raise ValueError(f"M must be at least 1, got {m}")
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             records.append(ExperimentRecord(

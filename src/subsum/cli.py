@@ -20,8 +20,8 @@ from .bench import (BENCH_ALGOS, fit_growth, group_records, read_records_csv,
 from .generators import FAMILIES, GeneratorSpec, dumps_meta, generate
 from .ledger import (FULL_TRACE_MAX_N, ComparisonLedger, dump_trace,
                      tradeoff_report)
-from .model import (_DECIMAL_RE, InstanceFormatError, read_instance, subset_sum,
-                    verify, write_instance)
+from .model import (_DECIMAL_RE, InstanceFormatError, _write_text, read_instance,
+                    subset_sum, verify, write_instance)
 from .solvers import CapExceededError, brute_force_solve, dp_solve, mitm_solve
 
 SOLVE_ALGOS = ("brute", "mitm", "dp")
@@ -43,12 +43,6 @@ def _parse_int(value: str) -> int:
     if not _DECIMAL_RE.fullmatch(value):
         raise argparse.ArgumentTypeError(f"expected a decimal integer, got {value!r}")
     return int(value)
-
-
-def _write_text(path, *pieces: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for piece in pieces:
-            fh.write(piece)
 
 
 def _produce(paths, work, write):

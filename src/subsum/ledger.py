@@ -309,8 +309,9 @@ def _decode_compares(records: str) -> list:
     final "\n". Outcomes are looked up in _INNER_OUTCOMES and
     _LAST_OUTCOMES, so anything else raises KeyError. An operand made only
     of "-" and ASCII digits that int() accepts is exactly -?[0-9]+;
-    anything else raises ValueError. Each distinct rhs text, such as
-    brute's target, is converted once.
+    anything else raises ValueError. Each distinct rhs text is converted
+    once; a run whose rhs texts are all one text, as brute's target is,
+    repeats that one value without a lookup per record.
     """
     if not records:
         return []
@@ -318,15 +319,19 @@ def _decode_compares(records: str) -> list:
     if tokens[0] != "CMP" or len(tokens) % 3 != 1:
         raise ValueError("not a run of CMP records")
     lhs_texts, rhs_texts = tokens[1::3], tokens[2::3]
-    rhs_values = {rhs: int(rhs) for rhs in set(rhs_texts)}
+    first = rhs_texts[0]
+    if rhs_texts.count(first) == len(rhs_texts):
+        rhs_chars, rhs_values = first, repeat(int(first))
+    else:
+        values = {rhs: int(rhs) for rhs in set(rhs_texts)}
+        rhs_chars, rhs_values = "".join(values), map(values.__getitem__, rhs_texts)
     outcomes = [*map(_INNER_OUTCOMES.__getitem__, tokens[3:-1:3]),
                 _LAST_OUTCOMES[tokens[-1]]]
     if (_OPERAND_CHARS_RE.fullmatch("".join(lhs_texts)) is None
-            or _OPERAND_CHARS_RE.fullmatch("".join(rhs_values)) is None):
+            or _OPERAND_CHARS_RE.fullmatch(rhs_chars) is None):
         raise ValueError("an operand is not a decimal integer")
     return list(map(tuple.__new__, repeat(CompareEvent),
-                    zip(map(int, lhs_texts), map(rhs_values.__getitem__, rhs_texts),
-                        outcomes)))
+                    zip(map(int, lhs_texts), rhs_values, outcomes)))
 
 
 def _parse_lines(text: str, first_lineno: int = 1) -> list:

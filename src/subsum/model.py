@@ -9,7 +9,9 @@ machine word size.
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -161,9 +163,25 @@ def loads_instance(text: str) -> Instance:
     return Instance(elements, target)
 
 
+def _write_text(path, *pieces: str) -> None:
+    """Write the pieces to path as UTF-8, overwriting in place.
+
+    The file is opened without truncating it, because truncating a file
+    that holds data to zero makes some file systems (ext4's auto_da_alloc)
+    flush it on close. A regular file is cut after the last byte written;
+    a device such as /dev/null is not cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        for piece in pieces:
+            fh.write(piece)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def write_instance(instance: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_instance(instance))
+    _write_text(path, dumps_instance(instance))
 
 
 def read_instance(path) -> Instance:

@@ -1,5 +1,7 @@
 """Scaling experiment records, CSV handling, and growth fitting."""
 
+import re
+
 import pytest
 
 from subsum import (fit_growth, group_records, read_records_csv,
@@ -223,6 +225,22 @@ def test_read_refuses_n_past_the_solvers_cap(tmp_path, algo, cap):
     # Other algo labels have no cap to check against.
     past_cap[2] = "hand"
     assert [r.n for r in read_records_csv(_write_rows(tmp_path, past_cap))] == [cap + 1]
+
+
+@pytest.mark.parametrize("column, text, message", [
+    (3, str(1 << 64), f"seed must be below 2^64, got {1 << 64}"),
+    (3, "9" * 23, f"seed must be below 2^64, got {'9' * 23}"),
+    (6, "0", "M must be at least 1, got 0"),
+], ids=["seed_2^64", "seed_23_digits", "M_0"])
+def test_read_refuses_seed_past_64_bits_and_zero_m(tmp_path, column, text, message):
+    # derive_seed returns a 64-bit value, and a ledger's peak is at least 1.
+    edge = list(_GOOD_ROW)
+    edge[3] = str((1 << 64) - 1)
+    assert [r.seed for r in read_records_csv(_write_rows(tmp_path, edge))] == [(1 << 64) - 1]
+    row = list(_GOOD_ROW)
+    row[column] = text
+    with pytest.raises(ValueError, match=re.escape(f"malformed CSV row at line 3: {message}")):
+        read_records_csv(_write_rows(tmp_path, _GOOD_ROW, row))
 
 
 def test_group_records():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -289,12 +290,16 @@ class _FullDisk:
         raise OSError(28, "No space left on device")
 
 
-def _fill_disk(monkeypatch, module):
-    """Make module's open(path, "w") return a _FullDisk."""
+def _fill_disk(monkeypatch):
+    """Make the output-file writer's file objects _FullDisks.
+
+    Every file the CLI writes goes through subsum.model._write_text, which
+    wraps the descriptor it opened with open(fd, "w").
+    """
     def full_disk_open(file, mode="r", **kwargs):
         fh = open(file, mode, **kwargs)
         return _FullDisk(fh) if mode == "w" else fh
-    monkeypatch.setattr(module, "open", full_disk_open, raising=False)
+    monkeypatch.setattr(subsum.model, "open", full_disk_open, raising=False)
 
 
 def test_failed_trace_write_removes_the_partial_file(tmp_path, capsys, monkeypatch):
@@ -302,11 +307,88 @@ def test_failed_trace_write_removes_the_partial_file(tmp_path, capsys, monkeypat
     write_instance(Instance((2, 3, 5), 8), path)
     trace = tmp_path / "t.txt"
     trace.write_text("old trace\n")
-    _fill_disk(monkeypatch, subsum.cli)
+    _fill_disk(monkeypatch)
     assert run_cli("solve", "--in", str(path), "--algo", "brute",
                    "--trace", str(trace)) == 2
     assert "No space left" in capsys.readouterr().err
     assert not trace.exists()
+
+
+def test_failed_gen_write_removes_both_files(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "i.json"
+    out.write_text("old instance\n")
+    (tmp_path / "i.meta.json").write_text("old sidecar\n")
+    _fill_disk(monkeypatch)
+    assert run_cli("gen", "--family", "powers2", "--n", "4", "--out", str(out)) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+_OLD_BYTES = b"x" * 100_000 + b"\n"
+
+
+def _gen_and_trace(directory):
+    """gen planted n = 12 into directory, then solve --trace into it."""
+    inst = directory / "i.json"
+    assert run_cli("gen", "--family", "planted", "--n", "12", "--seed", "4",
+                   "--out", str(inst)) == 0
+    assert run_cli("solve", "--in", str(inst), "--algo", "brute",
+                   "--trace", str(directory / "t.txt")) == 0
+
+
+def _read(directory, names=("i.json", "i.meta.json", "t.txt")):
+    return {name: (directory / name).read_bytes() for name in names}
+
+
+def test_outputs_onto_longer_files_match_a_fresh_write(tmp_path, capsys):
+    # Existing files are overwritten in place, then cut to the new length,
+    # so no byte of a longer old file may survive.
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    _gen_and_trace(fresh)
+    for name in ("i.json", "i.meta.json", "t.txt", "b.csv"):
+        (reused / name).write_bytes(_OLD_BYTES)
+    _gen_and_trace(reused)
+    assert _read(reused) == _read(fresh)
+    assert all(len(data) < len(_OLD_BYTES) for data in _read(fresh).values())
+    csv_path = reused / "b.csv"
+    assert run_cli("bench", "--algo", "mitm", "--family", "powers2", "--n-min", "4",
+                   "--n-max", "6", "--out", str(csv_path), "--force") == 0
+    data = csv_path.read_bytes()
+    assert b"x" not in data and data.count(b"\r\n") == 4
+    assert [r.n for r in subsum.read_records_csv(csv_path)] == [4, 5, 6]
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard_link"])
+def test_outputs_through_a_link_rewrite_its_inode(tmp_path, capsys, link):
+    fresh, real, links = tmp_path / "fresh", tmp_path / "real", tmp_path / "links"
+    for directory in (fresh, real, links):
+        directory.mkdir()
+    _gen_and_trace(fresh)
+    names = ("i.json", "t.txt")
+    for name in names:
+        (real / name).write_bytes(_OLD_BYTES)
+        link(real / name, links / name)
+    inodes = [os.stat(real / name).st_ino for name in names]
+    _gen_and_trace(links)
+    assert _read(real, names) == _read(fresh, names)
+    assert [os.stat(real / name).st_ino for name in names] == inodes
+    assert all(os.path.islink(links / name) == (link is os.symlink) for name in names)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+@pytest.mark.parametrize("algo", ["brute", "mitm"])
+def test_solve_trace_to_dev_null(tmp_path, capsys, algo):
+    # /dev/null is not a regular file: it is written but neither cut (which
+    # would fail) nor removed.
+    path = tmp_path / "i.json"
+    write_instance(Instance((2, 3, 5), 8), path)
+    assert run_cli("solve", "--in", str(path), "--algo", algo, "--trace", "/dev/null") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("SOLUTION ")
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
 
 
 def test_solve_out_of_memory_exits_2_and_leaves_no_trace(tmp_path, capsys, monkeypatch):
@@ -469,7 +551,7 @@ def test_bench_failed_csv_write_removes_the_partial_file(tmp_path, capsys, monke
             "--n-max", "8", "--out", str(path), "--force"]
     if existing is not None:
         path.write_text(existing)
-    _fill_disk(monkeypatch, subsum.bench)
+    _fill_disk(monkeypatch)
     assert run_cli(*argv) == 2
     assert "No space left" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
@@ -573,7 +655,11 @@ def test_report_names_row_of_integer_past_digit_limit(tmp_path, capsys):
 @pytest.mark.parametrize("odd, message", [
     ("-1,hand,x,0,0,4,2,8,0.000000", "n must be nonnegative, got -1"),
     ("4,hand,x,0,0,-4,2,8,0.000000", "C must be nonnegative, got -4"),
-], ids=["negative_n", "negative_C"])
+    # Exit 1 with TRADEOFF VIOLATION would read as a measured result.
+    ("4,hand,x,99999999999999999999999,0,4,0,8,0.000000",
+     "seed must be below 2^64, got 99999999999999999999999"),
+    ("4,hand,x,0,0,4,0,8,0.000000", "M must be at least 1, got 0"),
+], ids=["negative_n", "negative_C", "seed_past_64_bits", "zero_M"])
 def test_report_refuses_rows_no_bench_run_writes(tmp_path, capsys, odd, message):
     # Rows n = 1, 2, 3, an odd row, then n = 10^12: the odd row is line 5.
     path = tmp_path / "odd.csv"

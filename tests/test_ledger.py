@@ -278,6 +278,62 @@ def test_parse_trace_list_digit_limit_names_its_line(chunk):
     assert str(caught.value) == str(expected.value)
 
 
+# rhs texts for runs that share one rhs: canonical decimals, texts equal
+# in value to another ("07" and "7", "-0" and "0"), and texts int() takes
+# but the format does not ("1_0", "+7", a full-width 7).
+shared_rhs_texts = st.one_of(
+    st.integers(-10 ** 25, 10 ** 25).map(str),
+    st.sampled_from(["7", "07", "0", "-0", "00", "1_0", "+7", "\uff17", "-", ""]),
+)
+
+
+@st.composite
+def single_rhs_runs(draw):
+    """CMP records that share one rhs text, the last one's rhs maybe not."""
+    rhs = draw(shared_rhs_texts)
+    lhs = draw(st.lists(st.integers(-10 ** 25, 10 ** 25), min_size=1, max_size=40))
+    rhs_texts = [rhs] * len(lhs)
+    if draw(st.booleans()):
+        rhs_texts[-1] = draw(shared_rhs_texts)
+    codes = draw(st.lists(st.sampled_from(["EQ", "LT", "GT"]),
+                          min_size=len(lhs), max_size=len(lhs)))
+    return "".join(f"CMP {x} {r} {code}\n" for x, r, code in zip(lhs, rhs_texts, codes))
+
+
+@settings(max_examples=300)
+@given(single_rhs_runs(), CHUNK_SIZES)
+@example("CMP 1 7 LT\nCMP 9 07 GT\n", 1 << 15)
+@example("CMP 1 0 GT\nCMP -1 -0 LT\n", 1 << 15)
+@example("CMP 1 07 LT\nCMP 9 07 GT\n", 1 << 15)
+@example("CMP 1 -0 GT\nCMP 2 -0 GT\n", 1 << 15)
+def test_single_rhs_runs_match_per_line_parser(text, chunk):
+    # A run whose rhs texts are all one text converts that text once.
+    with mock.patch.object(ledger, "_CHUNK_CHARS", chunk):
+        assert parse_outcome(parse_trace, text) == parse_outcome(_parse_lines, text)
+    # The bulk decoder itself, before parse_trace's per-line fallback: it
+    # must refuse what the per-line parser refuses, and agree on the rest.
+    expected = parse_outcome(_parse_lines, text)
+    try:
+        decoded = [(type(event), event) for event in ledger._decode_compares(text)]
+    except (KeyError, ValueError):
+        assert isinstance(expected, str)
+    else:
+        assert decoded == expected
+
+
+@pytest.mark.parametrize("rhs", ["1_0", "+7", "\uff17"])
+@pytest.mark.parametrize("chunk", [1, 40, 1 << 15])
+def test_parse_trace_names_the_line_of_a_malformed_single_rhs(rhs, chunk):
+    # int() accepts each rhs; at chunk size 1 every chunk is one record, so
+    # the odd record's chunk has that rhs alone.
+    lines = [f"CMP {i} 500 LT" for i in range(3000)]
+    lines[2500:] = [f"CMP {i} {rhs} GT" for i in range(2500, 3000)]
+    text = "".join(line + "\n" for line in lines)
+    with mock.patch.object(ledger, "_CHUNK_CHARS", chunk):
+        with pytest.raises(TraceError, match="^line 2501: malformed record 'CMP 2500 "):
+            parse_trace(text)
+
+
 @pytest.fixture(scope="module")
 def real_dumps():
     dumps = []
