@@ -53,11 +53,15 @@ def _produce(paths, work, write):
     existing file keeps its bytes until work has succeeded. A refused or
     failed run removes only the files it created; a failed write removes
     every path that is a regular file (not a device such as /dev/stdout),
-    so a run leaves all of its files or none.
+    so a run leaves all of its files or none. A symbolic link is followed:
+    the file it names is what is created, written or removed, and the link
+    itself is kept.
     """
     created = []
     try:
         for path in paths:
+            if os.path.islink(path) and not os.path.exists(path):
+                path = os.path.realpath(path)  # the file a dangling link names
             try:
                 open(path, "x", encoding="utf-8").close()
                 created.append(path)
@@ -71,7 +75,7 @@ def _produce(paths, work, write):
     try:
         write(result)
     except BaseException:
-        for path in paths:
+        for path in map(os.path.realpath, paths):
             if os.path.isfile(path):
                 os.remove(path)
         raise

@@ -218,12 +218,7 @@ def dump_trace(trace) -> str:
     # its _value_, a plain attribute; .value is a Python-level property.
     for kind, run in groupby(trace, type):
         if issubclass(kind, CompareEvent):
-            # Each distinct rhs, such as brute's target, is rendered once.
-            run = list(run)
-            rhs_values = set(map(operator.itemgetter(1), run))
-            rhs_texts = {rhs: f" {rhs} " for rhs in rhs_values}
-            parts += [f"CMP {lhs}{rhs_texts[rhs]}{outcome._value_}\n"
-                      for lhs, rhs, outcome in run]
+            parts += [f"CMP {lhs} {rhs} {outcome._value_}\n" for lhs, rhs, outcome in run]
         elif issubclass(kind, SortedListEvent):
             parts += [f"LIST {event.length}\n" for event in run]
         elif issubclass(kind, EmitEvent):
@@ -238,9 +233,6 @@ def dump_trace(trace) -> str:
 _RECORD = r"CMP -?[0-9]+ -?[0-9]+ (?:EQ|LT|GT)|LIST [0-9]+|EMIT [0-9a-f]+"
 _CHUNK_CHARS = 1 << 15
 _ORDERINGS = {ordering.value: ordering for ordering in Ordering}
-# A chunk's LIST and EMIT records, captured by re.split; the text between
-# them must be CMP records.
-_LIST_OR_EMIT_RE = re.compile(r"^(LIST [0-9]+|EMIT [0-9a-f]+)\n", re.MULTILINE)
 # split(" ") of CMP records leaves each outcome joined to the next record's
 # "CMP", or to the final "\n".
 _INNER_OUTCOMES = {code + "\nCMP": ordering for code, ordering in _ORDERINGS.items()}
@@ -259,12 +251,13 @@ def parse_trace(text: str) -> list:
     naming its line number, as does a decimal past the interpreter's
     int-to-str digit limit.
 
-    The text is decoded in bulk a chunk of about _CHUNK_CHARS at a time,
-    cut after a newline, and each chunk is validated as it is decoded (see
-    _decode_chunk). From the first chunk that is not plain records, each
-    ending in "\n", or that holds a decimal past the digit limit, the rest
-    of the text goes through the per-line parser. The cyclic collector
-    stays paused throughout (see _gc_paused).
+    The text is cut into chunks of about _CHUNK_CHARS, each after a
+    newline. A chunk of plain CMP records, each ending in "\n", is decoded
+    in bulk and validated as it is decoded (see _decode_compares); any
+    other chunk, such as one holding a LIST or EMIT record or a decimal
+    past the digit limit, goes through the per-line parser, and the next
+    chunk tries the bulk decoder again. The cyclic collector stays paused
+    throughout (see _gc_paused).
     """
     events = []
     start, size, lineno = 0, len(text), 1
@@ -272,32 +265,13 @@ def parse_trace(text: str) -> list:
         stop = text.find("\n", start + _CHUNK_CHARS) + 1 or size
         chunk = text[start:stop]
         try:
-            events += _decode_chunk(chunk)
+            events += _decode_compares(chunk)
+            lineno += chunk.count("\n")
         except (KeyError, ValueError):
-            break  # the per-line parser accepts or names the odd line
-        lineno += chunk.count("\n")
+            # The per-line parser accepts or names the odd line.
+            events += _parse_lines(chunk, lineno)
+            lineno += len(chunk.splitlines())
         start = stop
-    events += _parse_lines(text[start:], lineno)
-    return events
-
-
-def _decode_chunk(chunk: str) -> list:
-    """The events of a chunk of records, each ending in "\n".
-
-    Raises KeyError or ValueError, having decoded nothing, if the chunk is
-    anything else or holds a decimal past the digit limit.
-    """
-    if "LIST " not in chunk and "EMIT " not in chunk:
-        return _decode_compares(chunk)
-    # [CMP records, LIST or EMIT record, CMP records, ..., CMP records]
-    parts = _LIST_OR_EMIT_RE.split(chunk)
-    events = []
-    for at in range(1, len(parts), 2):
-        events += _decode_compares(parts[at - 1])
-        kind, _, value = parts[at].partition(" ")
-        events.append(SortedListEvent(int(value)) if kind == "LIST"
-                      else EmitEvent(int(value, 16)))
-    events += _decode_compares(parts[-1])
     return events
 
 
@@ -311,13 +285,15 @@ def _decode_compares(records: str) -> list:
     of "-" and ASCII digits that int() accepts is exactly -?[0-9]+;
     anything else raises ValueError. Each distinct rhs text is converted
     once; a run whose rhs texts are all one text, as brute's target is,
-    repeats that one value without a lookup per record.
+    repeats that one value without a lookup per record. Anything but such
+    a run raises KeyError or ValueError, having decoded nothing.
     """
-    if not records:
-        return []
     tokens = records.split(" ")
     if tokens[0] != "CMP" or len(tokens) % 3 != 1:
         raise ValueError("not a run of CMP records")
+    # Outcomes first, so that a lone "CMP" raises KeyError, not IndexError.
+    outcomes = [*map(_INNER_OUTCOMES.__getitem__, tokens[3:-1:3]),
+                _LAST_OUTCOMES[tokens[-1]]]
     lhs_texts, rhs_texts = tokens[1::3], tokens[2::3]
     first = rhs_texts[0]
     if rhs_texts.count(first) == len(rhs_texts):
@@ -325,8 +301,6 @@ def _decode_compares(records: str) -> list:
     else:
         values = {rhs: int(rhs) for rhs in set(rhs_texts)}
         rhs_chars, rhs_values = "".join(values), map(values.__getitem__, rhs_texts)
-    outcomes = [*map(_INNER_OUTCOMES.__getitem__, tokens[3:-1:3]),
-                _LAST_OUTCOMES[tokens[-1]]]
     if (_OPERAND_CHARS_RE.fullmatch("".join(lhs_texts)) is None
             or _OPERAND_CHARS_RE.fullmatch(rhs_chars) is None):
         raise ValueError("an operand is not a decimal integer")

@@ -377,6 +377,40 @@ def test_outputs_through_a_link_rewrite_its_inode(tmp_path, capsys, link):
     assert all(os.path.islink(links / name) == (link is os.symlink) for name in names)
 
 
+def test_refused_solve_through_a_dangling_symlink_creates_no_target(tmp_path, capsys):
+    # The link is followed: its missing target is created for the run and
+    # removed when the run is refused, and a later run writes the target.
+    path = tmp_path / "p31.json"
+    write_instance(Instance((1,) * 31, 7), path)
+    link = tmp_path / "link.txt"
+    os.symlink("target.txt", link)
+    assert run_cli("solve", "--in", str(path), "--algo", "brute", "--trace", str(link)) == 2
+    assert "cap" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "p31.json"]
+    assert os.path.islink(link)
+    write_instance(Instance((2, 3, 5), 8), path)
+    assert run_cli("solve", "--in", str(path), "--algo", "brute", "--trace", str(link)) == 0
+    assert (tmp_path / "target.txt").read_text().endswith("EMIT 6\n")
+
+
+def test_failed_write_through_a_symlink_removes_its_target(tmp_path, capsys, monkeypatch):
+    # The partial file is the link's target; removing only the link would
+    # leave the target holding the first bytes of the trace.
+    def partial_write(path, *pieces):
+        subsum.model._write_text(path, "".join(pieces)[:100])
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(subsum.cli, "_write_text", partial_write)
+    path = tmp_path / "i.json"
+    write_instance(Instance(tuple(range(1, 9)), 100), path)
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old trace\n")
+    os.symlink(real, link)
+    assert run_cli("solve", "--in", str(path), "--algo", "brute", "--trace", str(link)) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert not real.exists()
+    assert os.path.islink(link)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
 @pytest.mark.parametrize("algo", ["brute", "mitm"])
 def test_solve_trace_to_dev_null(tmp_path, capsys, algo):

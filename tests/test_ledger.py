@@ -245,6 +245,8 @@ def parse_outcome(parse, text):
 
 @settings(max_examples=300)
 @given(trace_texts(), CHUNK_SIZES)
+@example("CMP", 1 << 15)
+@example("LIST 1\nCMP", 1)
 def test_parse_trace_matches_per_line_parser(text, chunk):
     with mock.patch.object(ledger, "_CHUNK_CHARS", chunk):
         assert parse_outcome(parse_trace, text) == parse_outcome(_parse_lines, text)
@@ -345,15 +347,23 @@ def real_dumps():
     return dumps
 
 
-@pytest.mark.parametrize("splice", [
-    "\r\n", "\n\n", "\n \t\n", "\nCMP 1 2\n", "\nLIST -1\n", f"\nCMP {'9' * 5000} 1 GT\n",
-], ids=["crlf", "blank", "whitespace", "short_cmp", "negative_list", "digit_limit"])
-def test_parse_trace_matches_per_line_parser_on_real_dumps(real_dumps, splice):
-    # One odd line in a middle chunk, at the default chunk size: the chunks
-    # before it are bulk-decoded and the rest goes to the per-line parser.
+@pytest.mark.parametrize("splice, later", [
+    ("\r\n", None), ("\n\n", None), ("\n \t\n", None), ("\nCMP 1 2\n", None),
+    ("\nLIST -1\n", None), (f"\nCMP {'9' * 5000} 1 GT\n", None),
+    ("\r", "\nCMP 1 2\n"), ("\x0b", "\nCMP 1 2\n"), ("\n\n", "\nCMP 1 2\n"),
+], ids=["crlf", "blank", "whitespace", "short_cmp", "negative_list", "digit_limit",
+        "cr_then_short_cmp", "vt_then_short_cmp", "blank_then_short_cmp"])
+def test_parse_trace_matches_per_line_parser_on_real_dumps(real_dumps, splice, later):
+    # One odd line in a middle chunk, at the default chunk size: that chunk
+    # goes to the per-line parser, and the chunks around it are bulk-decoded.
+    # A later splice, two chunks on, is a malformed line whose number counts
+    # the lines of the per-line chunk and of the bulk chunks after it.
     for text in real_dumps:
         assert len(text) > 3 * ledger._CHUNK_CHARS
         at = text.index("\n", len(text) // 2)
+        if later is not None:
+            end = text.index("\n", at + 2 * ledger._CHUNK_CHARS)
+            text = text[:end] + later + text[end + 1:]
         spliced = text[:at] + splice + text[at + 1:]
         assert parse_outcome(parse_trace, spliced) == parse_outcome(_parse_lines, spliced)
 
