@@ -98,16 +98,10 @@ def cmd_gen(args) -> int:
 
 
 class _RenderedTrace(list):
-    """A ledger trace that renders its events to text as they arrive.
+    """A ledger trace that stays empty: each event or run is rendered on arrival.
 
-    record_misses extends a trace once per brute block, with a run holding
-    the block's sums and target. extend renders what append added before
-    it, then the run, whose lines dump_trace writes from those operands, so
-    no CompareEvent is built for a miss. render() renders and clears what
-    append added since: brute's EQ compare and EMIT, and all of mitm's
-    events. dump_trace, looked up in this module when called, renders each
-    event on its own line, so the pieces concatenate to the dump of the
-    whole trace.
+    dump_trace, looked up in this module when called, writes each event on
+    its own line, so the pieces concatenate to the dump of the whole trace.
     """
 
     __slots__ = ("pieces",)
@@ -116,29 +110,11 @@ class _RenderedTrace(list):
         super().__init__()
         self.pieces = []
 
-    def extend(self, events):
-        self.render()
-        self.pieces.append(dump_trace(events))
+    def append(self, event):
+        self.pieces.append(dump_trace((event,)))
 
-    def render(self):
-        if self:
-            self.pieces.append(dump_trace(self))
-            self.clear()
-
-
-def _solve_traced(solver, instance, ledger, path):
-    """Run solver on ledger's _RenderedTrace, then write the text to path.
-
-    _produce checks path before the solve and writes it only after.
-    """
-    trace = ledger.trace
-
-    def work():
-        solution = solver(instance, ledger).solution
-        trace.render()
-        return solution
-
-    return _produce([path], work, lambda _: _write_text(path, *trace.pieces))
+    def extend(self, run):
+        self.pieces.append(dump_trace(run))
 
 
 def cmd_solve(args) -> int:
@@ -154,7 +130,8 @@ def cmd_solve(args) -> int:
             # Writing the trace would replace the instance it was read from.
             if os.path.exists(args.trace) and os.path.samefile(args.in_path, args.trace):
                 raise CliError(f"--trace {args.trace} is the --in file")
-            solution = _solve_traced(solver, instance, ledger, args.trace)
+            solution = _produce([args.trace], lambda: solver(instance, ledger).solution,
+                                lambda _: _write_text(args.trace, *ledger.trace.pieces))
         else:
             solution = solver(instance, ledger).solution
     if solution is not None:

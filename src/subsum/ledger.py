@@ -13,17 +13,17 @@ The charging model is fixed so that runs are comparable across machines:
   build of k entries, +ceil(k * log2(k)) per sort of k entries.
 
 A ledger is single-writer: one solver run owns one ledger. A ledger given
-a trace list, as in ComparisonLedger([]), appends each charged comparison,
+a trace list, as in ComparisonLedger([]), adds each charged comparison,
 sorted list build, and solution emission to it as an event; dump_trace
 and parse_trace convert events to and from the line format, and
 solution_witness_check replays them. Solvers refuse a tracing ledger
 above n = FULL_TRACE_MAX_N.
 
-record_misses extends a trace with one run per call, which holds only its
-operands (lhs list and rhs) and yields its CompareEvents when iterated. A
-trace that renders as it goes, as `subsum solve --trace` does, passes the
-run to dump_trace, which writes the run's lines straight from its operands,
-so brute's misses reach the file without a CompareEvent being built.
+Solvers run one loop, traced or not, and extend a trace with whole runs:
+record_misses hands it brute's misses in one block as a run of just its
+operands, which a trace that renders each run, as `subsum solve --trace`
+does, writes with no CompareEvent built; record_scan replays mitm's whole
+scan from its two lists and its comparison count once the loop is done.
 
 parse_trace and traced solves pause CPython's cyclic garbage collector and
 then restore its prior state: events are acyclic, so reference counting
@@ -169,15 +169,39 @@ class ComparisonLedger:
 
         No lhs value may equal rhs, so each outcome is LT or GT. The trace
         is extended once, with a _Misses run: a list trace gets its
-        CompareEvents, built in one C-level pass, and the CLI's trace hands
-        it to dump_trace, which writes its lines from lhs and rhs without
-        building an event.
+        CompareEvents, built in one C-level pass, and a trace that renders
+        each run as it arrives hands it to dump_trace, which writes its
+        lines from lhs and rhs without building an event.
         """
         if self.trace is None:
             return
         if rhs in lhs:
             raise ValueError(f"record_misses got an lhs equal to rhs={rhs}")
         self.trace.extend(_Misses(lhs, rhs))
+
+    def record_scan(self, lo: list[int], hi: list[int], count: int) -> None:
+        """Trace the first count steps of a two-pointer scan; charges nothing.
+
+        lo and hi ascend; each step compares lo[i] with hi[j]. LT passes
+        lo[i], GT passes hi[j], and EQ ends the scan. The trace is extended
+        once, with exactly count CompareEvents; a count past the end of the
+        scan raises ValueError, with the trace untouched.
+        """
+        if self.trace is None:
+            return
+        events, i, j = [], 0, 0
+        while len(events) < count and i < len(lo) and j < len(hi):
+            lhs, rhs = lo[i], hi[j]
+            if lhs < rhs:
+                outcome, i = Ordering.LT, i + 1
+            elif rhs < lhs:
+                outcome, j = Ordering.GT, j + 1
+            else:
+                outcome, i = Ordering.EQ, len(lo)  # a hit ends the scan
+            events.append(CompareEvent(lhs, rhs, outcome))
+        if len(events) < count:
+            raise ValueError(f"record_scan got {count} steps; the scan has {len(events)}")
+        self.trace.extend(events)
 
     def charge_generated(self, count: int = 1) -> None:
         """Charge unit cost for generating candidate subset sums."""
@@ -205,8 +229,9 @@ class ComparisonLedger:
 def dump_trace(trace) -> str:
     """Render a trace in the line format: CMP / LIST / EMIT records.
 
-    trace is a sequence of events, or the run that one record_misses call
-    hands its trace, which renders from its operands with no event built.
+    trace is a sequence of events, such as one run that a ledger hands its
+    trace's extend. A record_misses run renders from its operands with no
+    event built.
     """
     if type(trace) is _Misses:
         # Each line is an lhs and one of two tails, both built once.
@@ -252,17 +277,20 @@ def parse_trace(text: str) -> list:
     int-to-str digit limit.
 
     The text is cut into chunks of about _CHUNK_CHARS, each after a
-    newline. A chunk of plain CMP records, each ending in "\n", is decoded
-    in bulk and validated as it is decoded (see _decode_compares); any
-    other chunk, such as one holding a LIST or EMIT record or a decimal
-    past the digit limit, goes through the per-line parser, and the next
-    chunk tries the bulk decoder again. The cyclic collector stays paused
-    throughout (see _gc_paused).
+    newline, and its last line, such as a dump's EMIT record, is a chunk
+    of its own. A chunk of plain CMP records, each ending in "\n", is
+    decoded in bulk and validated as it is decoded (see _decode_compares);
+    any other chunk, such as one holding a LIST or EMIT record or a
+    decimal past the digit limit, goes through the per-line parser, and
+    the next chunk tries the bulk decoder again. The cyclic collector
+    stays paused throughout (see _gc_paused).
     """
     events = []
     start, size, lineno = 0, len(text), 1
+    last = text.rfind("\n", 0, size - 1) + 1  # where the text's last line starts
     while start < size:
-        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or size
+        end = last if start < last else size
+        stop = text.find("\n", start + _CHUNK_CHARS, end) + 1 or end
         chunk = text[start:stop]
         try:
             events += _decode_compares(chunk)

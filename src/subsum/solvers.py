@@ -206,7 +206,6 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
         ledger.record_sorted_list(len(hi))
         ledger.charge_sort(len(hi))
 
-        trace = ledger.trace
         len_lo, len_hi = len(lo), len(hi)
         j = 0
         rhs = hi[0]
@@ -217,12 +216,8 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
         walk = iter(lo)
         for lhs in walk:
             if lhs < rhs:
-                if trace is not None:
-                    ledger.record_compare(lhs, rhs)
                 continue
             while rhs < lhs:
-                if trace is not None:
-                    ledger.record_compare(lhs, rhs)
                 j += 1
                 if j == len_hi:
                     break
@@ -230,8 +225,6 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
             if j == len_hi:
                 break  # the back list ran out
             # lhs <= rhs now: LT moves on to the next front sum, EQ is a hit.
-            if trace is not None:
-                ledger.record_compare(lhs, rhs)
             if lhs == rhs:
                 solution = (_lowest_mask(front, lhs)
                             | _lowest_mask(back, target - rhs) << split)
@@ -246,6 +239,7 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
         if compares > len_lo + len_hi - 1:
             raise RuntimeError(f"scan made {compares} comparisons over lists of "
                                f"{len_lo} and {len_hi} entries")
+        ledger.record_scan(lo, hi, compares)
         ledger.charge_compares(compares)
         return _result(instance, ledger, solution)
 

@@ -167,6 +167,37 @@ def test_record_misses_bulk_matches_record_compare():
     assert plain.trace is None
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ([1, 4, 6, 9], [2, 3, 6, 8]),  # LT, GT, GT, LT, then EQ at step 5
+    ([1, 2], [5, 7]),  # no hit: the front list runs out after 2 steps
+    ([5, 7], [1, 2, 3]),  # no hit: the back list runs out after 3 steps
+])
+def test_record_scan_replays_the_two_pointer_walk(lo, hi):
+    # The reference walk: one record_compare per step, each passing one
+    # entry, until a hit or an exhausted list.
+    walk = ComparisonLedger([])
+    i = j = 0
+    while i < len(lo) and j < len(hi):
+        outcome = walk.record_compare(lo[i], hi[j])
+        if outcome is Ordering.EQ:
+            break
+        i, j = (i + 1, j) if outcome is Ordering.LT else (i, j + 1)
+    steps = len(walk.trace)
+    for count in range(steps + 1):
+        runs = []
+        led = ComparisonLedger(SimpleNamespace(extend=runs.append))
+        led.record_scan(lo, hi, count)
+        assert runs == [walk.trace[:count]]
+        assert (led.compare_count, led.elementary_ops) == (0, 0)
+    led = ComparisonLedger([])
+    with pytest.raises(ValueError, match=f"got {steps + 1} steps"):
+        led.record_scan(lo, hi, steps + 1)
+    assert led.trace == []
+    plain = ComparisonLedger()
+    plain.record_scan(lo, hi, steps + 1)
+    assert plain.trace is None
+
+
 _OPERANDS = st.one_of(st.integers(), st.integers(min_value=1 << 64, max_value=1 << 200),
                       st.integers(min_value=-(1 << 200), max_value=-(1 << 64)))
 
@@ -347,6 +378,24 @@ def real_dumps():
     return dumps
 
 
+def test_parse_trace_sends_only_a_brute_dumps_emit_line_per_line(monkeypatch, real_dumps):
+    # Every chunk before the last line is plain CMP records, so only the
+    # closing EMIT record, a chunk of its own, reaches the per-line parser.
+    text = real_dumps[0]
+    assert len(text) > 3 * ledger._CHUNK_CHARS
+    calls = []
+
+    def per_line(chunk, first_lineno=1):
+        calls.append((chunk, first_lineno))
+        return _parse_lines(chunk, first_lineno)
+    monkeypatch.setattr(ledger, "_parse_lines", per_line)
+    events = parse_trace(text)
+    lines = text.splitlines(keepends=True)
+    assert calls == [(lines[-1], len(lines))]
+    assert lines[-1].startswith("EMIT ")
+    assert events == _parse_lines(text)
+
+
 @pytest.mark.parametrize("splice, later", [
     ("\r\n", None), ("\n\n", None), ("\n \t\n", None), ("\nCMP 1 2\n", None),
     ("\nLIST -1\n", None), (f"\nCMP {'9' * 5000} 1 GT\n", None),
@@ -493,22 +542,22 @@ def test_pause_restores_collector_state(collector_on, enabled):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_pause_restores_collector_when_solve_raises(collector_on, monkeypatch, enabled):
     # Powers of two at n = 12 walk 4 blocks; the third block's misses raise.
-    # mitm's scan there makes 64 comparisons; the third one raises.
-    def fail_third(method):
+    # mitm traces its whole scan in one record_scan call, which raises.
+    def fail_on(method, nth):
         real, calls = getattr(ComparisonLedger, method), []
 
         def failing(self, *args):
             calls.append(args)
-            if len(calls) == 3:
+            if len(calls) == nth:
                 raise RuntimeError(f"{method} failed")
             return real(self, *args)
         return failing
 
     (gc.enable if enabled else gc.disable)()
-    for solve, method in [(brute_force_solve, "record_misses"),
-                          (mitm_solve, "record_compare")]:
+    for solve, method, nth in [(brute_force_solve, "record_misses", 3),
+                               (mitm_solve, "record_scan", 1)]:
         with monkeypatch.context() as patch:
-            patch.setattr(ComparisonLedger, method, fail_third(method))
+            patch.setattr(ComparisonLedger, method, fail_on(method, nth))
             with pytest.raises(RuntimeError, match=f"{method} failed"):
                 solve(gen_powers_of_two(12), ComparisonLedger([]))
         assert gc.isenabled() is enabled

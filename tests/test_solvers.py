@@ -23,7 +23,7 @@ from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
                     solution_witness_check, subset_sum, verify)
 from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET, sort_charge
 from subsum.model import all_subset_sums, sorted_subset_sums
-from subsum.solvers import MITM_MAX_N
+from subsum.solvers import BRUTE_BLOCK_BITS, MITM_MAX_N
 
 
 @st.composite
@@ -609,8 +609,8 @@ def test_powers2_closed_forms():
 class CallCountingLedger(ComparisonLedger):
     """A ledger that counts every call made to its methods."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, trace=None):
+        super().__init__(trace)
         self.calls = 0
 
     def __getattribute__(self, name):
@@ -626,13 +626,22 @@ class CallCountingLedger(ComparisonLedger):
 
 @pytest.mark.parametrize("solver", [brute_force_solve, mitm_solve])
 def test_ledger_calls_constant_in_n(solver):
-    calls = []
-    for n in (8, 16):
-        inst = gen_powers_of_two(n)
-        led = CallCountingLedger()
-        assert solver(inst, led) == solver(inst)
-        calls.append(led.calls)
-    assert calls[0] == calls[1]
+    # Traced, brute hands the ledger one record_misses run per block of
+    # 2^BRUTE_BLOCK_BITS masks; every other call is made a fixed number of
+    # times. The trace holds exactly C CompareEvents.
+    for traced in (False, True):
+        calls = []
+        for n in (8, 16):
+            inst = gen_powers_of_two(n)
+            led = CallCountingLedger([] if traced else None)
+            assert solver(inst, led) == solver(inst)
+            if traced and solver is brute_force_solve:
+                led.calls -= 1 << max(n - BRUTE_BLOCK_BITS, 0)
+            if traced:
+                compares = [e for e in led.trace if type(e) is CompareEvent]
+                assert len(compares) == led.compare_count
+            calls.append(led.calls)
+        assert calls[0] == calls[1], traced
 
 
 def test_result_check_survives_optimize_flag():
