@@ -277,19 +277,23 @@ def parse_trace(text: str) -> list:
     int-to-str digit limit.
 
     The text is cut into chunks of about _CHUNK_CHARS, each after a
-    newline, and its last line, such as a dump's EMIT record, is a chunk
-    of its own. A chunk of plain CMP records, each ending in "\n", is
-    decoded in bulk and validated as it is decoded (see _decode_compares);
-    any other chunk, such as one holding a LIST or EMIT record or a
-    decimal past the digit limit, goes through the per-line parser, and
-    the next chunk tries the bulk decoder again. The cyclic collector
-    stays paused throughout (see _gc_paused).
+    newline. The lines before its first CMP record, such as a mitm dump's
+    LIST records, and its last line, such as a dump's EMIT record, are
+    chunks of their own. A chunk of plain CMP records, each ending in
+    "\n", is decoded in bulk and validated as it is decoded (see
+    _decode_compares); any other chunk, such as one holding a LIST or EMIT
+    record or a decimal past the digit limit, goes through the per-line
+    parser, and the next chunk tries the bulk decoder again. The cyclic
+    collector stays paused throughout (see _gc_paused).
     """
     events = []
     start, size, lineno = 0, len(text), 1
-    last = text.rfind("\n", 0, size - 1) + 1  # where the text's last line starts
+    # Where the first CMP line and the text's last line start. A dump that
+    # opens with CMP, as brute's does, is not searched.
+    first = 0 if text.startswith("CMP") else text.find("\nCMP") + 1
+    last = text.rfind("\n", 0, size - 1) + 1
     while start < size:
-        end = last if start < last else size
+        end = first if start < first else last if start < last else size
         stop = text.find("\n", start + _CHUNK_CHARS, end) + 1 or end
         chunk = text[start:stop]
         try:

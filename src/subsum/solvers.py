@@ -4,7 +4,8 @@ Three independent routes to the same answer:
 
   * brute_force_solve: visit all masks in ascending order, counting one
     comparison per mask visited. The Theta(2^n) baseline; it checks masks
-    in blocks of 2^10 by scanning one list of low-element sums.
+    in blocks of 2^10, each with one str.find over a hex text of the
+    low-element sums, which still scans the block's entries in order.
   * mitm_solve: split the elements into a front and back half, enumerate
     each half's subset sums already in ascending order (Horowitz-Sahni
     merges, no sort from scratch), and run a linear two-pointer scan for a
@@ -31,7 +32,7 @@ from .model import Instance, all_subset_sums, sorted_subset_sums, verify
 BRUTE_FORCE_MAX_N = 30
 MITM_MAX_N = 50
 # brute checks its masks in blocks of 2^BRUTE_BLOCK_BITS against one unsorted
-# list of low-element sums. Fixed rather than sized from n, so brute's memory
+# text of low-element sums. Fixed rather than sized from n, so brute's memory
 # stays flat in n and its M = 1 still means it holds no growing list.
 BRUTE_BLOCK_BITS = 10
 DP_MAX_RANGE = 10 ** 7
@@ -105,15 +106,23 @@ def _lowest_mask(elements, total: int, ledger: ComparisonLedger | None = None) -
     """The lowest mask of elements whose subset sum is total, or None.
 
     The walk goes block by block: with k = min(n, BRUTE_BLOCK_BITS), masks
-    h * 2^k .. h * 2^k + 2^k - 1 share the high-element sum offset(h), and
-    one scan of the at most 2^BRUTE_BLOCK_BITS unsorted low-element sums
-    for total - offset(h) checks them all, so memory stays flat in n. A
-    tracing ledger gets one event per visited mask; nothing is charged.
+    h * 2^k .. h * 2^k + 2^k - 1 share the high-element sum offset(h). The
+    at most 2^BRUTE_BLOCK_BITS unsorted low-element sums are held once as
+    one text, each sum in hex between commas, and one str.find of
+    total - offset(h) in that text checks the whole block. The search still
+    scans every entry up to its hit, in C, so wall time follows the masks
+    visited, and memory stays flat in n. A tracing ledger gets one event
+    per visited mask; nothing is charged.
     """
-    # Mask h * 2^k + l sums to low[l] + offset(h). list.index returns the
-    # smallest l, so the first hit is the lowest matching mask.
+    # Mask h * 2^k + l sums to low[l] + offset(h), and low[l] is the text's
+    # l-th field. The commas anchor a match to a whole field, so ",1," never
+    # matches inside ",-1," or ",11,". find returns the first match, so the
+    # first hit is the lowest matching mask, and the commas before it count
+    # l. Hex, since CPython's int-to-str digit limit spares only powers of
+    # two. The tuple and % keep the build's peak near the tuple's own size.
     k = min(len(elements), BRUTE_BLOCK_BITS)
-    low = all_subset_sums(elements[:k])
+    low = tuple(all_subset_sums(elements[:k]))
+    text = ("," + "%x," * len(low)) % low
     high = elements[k:]
     # Prefix sums make the ascending walk over h incremental: stepping from
     # h-1 to h clears the trailing one-bits and sets one new bit.
@@ -127,10 +136,10 @@ def _lowest_mask(elements, total: int, ledger: ComparisonLedger | None = None) -
         if h:
             bit = (h & -h).bit_length() - 1
             offset += high[bit] - prefix[bit]
-        want = total - offset
-        hit = low.index(want) if want in low else None
+        at = text.find(f",{total - offset:x},")
+        hit = None if at < 0 else text.count(",", 0, at)
         if tracing:
-            # Entries before the hit differ from want; the hit itself is EQ.
+            # Entries before the hit differ from total - offset; the hit is EQ.
             seen = low if hit is None else low[:hit]
             ledger.record_misses(list(map(offset.__add__, seen)), total)
             if hit is not None:

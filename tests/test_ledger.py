@@ -396,6 +396,26 @@ def test_parse_trace_sends_only_a_brute_dumps_emit_line_per_line(monkeypatch, re
     assert events == _parse_lines(text)
 
 
+def test_parse_trace_sends_only_a_mitm_dumps_list_and_emit_lines_per_line(
+        monkeypatch, real_dumps):
+    # The LIST records before the first CMP record are a chunk of their own,
+    # as the closing EMIT record is, so every CMP record is bulk-decoded.
+    text = real_dumps[1]
+    assert len(text) > 3 * ledger._CHUNK_CHARS
+    calls = []
+
+    def per_line(chunk, first_lineno=1):
+        calls.append((chunk, first_lineno))
+        return _parse_lines(chunk, first_lineno)
+    monkeypatch.setattr(ledger, "_parse_lines", per_line)
+    events = parse_trace(text)
+    lines = text.splitlines(keepends=True)
+    assert calls == [(lines[0] + lines[1], 1), (lines[-1], len(lines))]
+    assert [line.split(" ")[0] for line in lines[:3]] == ["LIST", "LIST", "CMP"]
+    assert lines[-1].startswith("EMIT ")
+    assert events == _parse_lines(text)
+
+
 @pytest.mark.parametrize("splice, later", [
     ("\r\n", None), ("\n\n", None), ("\n \t\n", None), ("\nCMP 1 2\n", None),
     ("\nLIST -1\n", None), (f"\nCMP {'9' * 5000} 1 GT\n", None),

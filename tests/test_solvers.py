@@ -23,7 +23,7 @@ from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
                     solution_witness_check, subset_sum, verify)
 from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET, sort_charge
 from subsum.model import all_subset_sums, sorted_subset_sums
-from subsum.solvers import BRUTE_BLOCK_BITS, MITM_MAX_N
+from subsum.solvers import BRUTE_BLOCK_BITS, MITM_MAX_N, _lowest_mask
 
 
 @st.composite
@@ -182,6 +182,50 @@ def test_brute_memory_flat_in_n():
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 1024, (inst.n, peak)
+
+
+def test_lowest_mask_matches_whole_low_sums_only():
+    # Masks 0..15 sum to 0, -1, 2, 1, 16, 15, 18, 17, 17, 16, 19, 18, 33,
+    # 32, 35, 34. In hex "1" sits inside "-1", "11" and "10", so a search
+    # must match a whole entry, and the first of two equal entries.
+    elements = (-1, 2, 0x10, 0x11)
+    for total, mask in [(-1, 1), (1, 3), (0x11, 7), (0x10, 4), (0, 0), (0x23, 14)]:
+        assert _lowest_mask(elements, total) == mask
+    for total in (-0x11, -0x10, -2, 3, 0x110, 0x101, 0x31, 36):
+        assert _lowest_mask(elements, total) is None
+    for total in range(-40, 41):
+        assert _lowest_mask(elements, total) == min(oracle_matching_masks(elements, total),
+                                                  default=None)
+
+
+big_or_small = st.one_of(st.integers(-3, 3), st.integers(-(1 << 70), 1 << 70))
+
+
+@given(st.lists(big_or_small, max_size=8), st.data(), st.sampled_from([0, 1, 3, 10]))
+@settings(max_examples=150)
+def test_lowest_mask_equals_oracle_on_wide_magnitudes(elements, data, bits):
+    # Magnitudes to 2^70 and negative targets, over blocks of 1 to 2^8 masks.
+    elements = tuple(elements)
+    if elements and data.draw(st.booleans()):
+        mask = data.draw(st.integers(0, (1 << len(elements)) - 1))
+        total = sum(a for i, a in enumerate(elements) if mask >> i & 1)
+    else:
+        total = data.draw(big_or_small)
+    with mock.patch.object(subsum.solvers, "BRUTE_BLOCK_BITS", bits):
+        assert _lowest_mask(elements, total) == min(oracle_matching_masks(elements, total),
+                                                  default=None)
+
+
+def test_brute_solves_elements_past_the_decimal_digit_limit():
+    # 5,001-digit elements: past CPython's 4,300-digit int-to-str limit, so
+    # any decimal rendering of the sums would raise. Four blocks of masks.
+    elements = tuple(10 ** 5000 + i for i in range(12))
+    planted = 0b1011_0010_1101
+    inst = Instance(elements, subset_sum(Instance(elements, 0), planted))
+    res = brute_force_solve(inst)
+    assert res.solution == min(oracle_matching_masks(elements, inst.target))
+    assert res.solution <= planted and verify(inst, res.solution)
+    assert res.compare_count == res.solution + 1
 
 
 # -- half sums -------------------------------------------------------------
