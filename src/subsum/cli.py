@@ -98,23 +98,15 @@ def cmd_gen(args) -> int:
 
 
 class _RenderedTrace(list):
-    """A ledger trace that stays empty: each event or run is rendered on arrival.
+    """A ledger trace that holds each run as text, rendered on arrival.
 
-    dump_trace, looked up in this module when called, writes each event on
-    its own line, so the pieces concatenate to the dump of the whole trace.
+    A ledger hands its trace every event through extend. dump_trace, looked
+    up in this module when called, writes each event on its own line, so
+    the items concatenate to the dump of the whole trace.
     """
 
-    __slots__ = ("pieces",)
-
-    def __init__(self):
-        super().__init__()
-        self.pieces = []
-
-    def append(self, event):
-        self.pieces.append(dump_trace((event,)))
-
     def extend(self, run):
-        self.pieces.append(dump_trace(run))
+        self.append(dump_trace(run))
 
 
 def cmd_solve(args) -> int:
@@ -131,7 +123,7 @@ def cmd_solve(args) -> int:
             if os.path.exists(args.trace) and os.path.samefile(args.in_path, args.trace):
                 raise CliError(f"--trace {args.trace} is the --in file")
             solution = _produce([args.trace], lambda: solver(instance, ledger).solution,
-                                lambda _: _write_text(args.trace, *ledger.trace.pieces))
+                                lambda _: _write_text(args.trace, *ledger.trace))
         else:
             solution = solver(instance, ledger).solution
     if solution is not None:

@@ -19,11 +19,13 @@ and parse_trace convert events to and from the line format, and
 solution_witness_check replays them. Solvers refuse a tracing ledger
 above n = FULL_TRACE_MAX_N.
 
-Solvers run one loop, traced or not, and extend a trace with whole runs:
-record_misses hands it brute's misses in one block as a run of just its
-operands, which a trace that renders each run, as `subsum solve --trace`
-does, writes with no CompareEvent built; record_scan replays mitm's whole
-scan from its two lists and its comparison count once the loop is done.
+Every event reaches the trace through its extend, in a run: one event for
+record_compare, record_sorted_list and emit. Solvers run one loop, traced
+or not, and extend a trace with whole runs: record_misses hands it
+brute's misses in one block as a run of just its operands, which a trace
+that renders each run, as `subsum solve --trace` does, writes with no
+CompareEvent built; record_scan replays mitm's whole scan from its two
+lists and its comparison count once the loop is done.
 
 parse_trace and traced solves pause CPython's cyclic garbage collector and
 then restore its prior state: events are acyclic, so reference counting
@@ -161,7 +163,7 @@ class ComparisonLedger:
         else:
             outcome = Ordering.GT
         if self.trace is not None:
-            self.trace.append(CompareEvent(lhs, rhs, outcome))
+            self.trace.extend((CompareEvent(lhs, rhs, outcome),))
         return outcome
 
     def record_misses(self, lhs: list[int], rhs: int) -> None:
@@ -215,7 +217,7 @@ class ComparisonLedger:
             self.peak_sorted_len = length
         self.elementary_ops += length
         if self.trace is not None:
-            self.trace.append(SortedListEvent(length))
+            self.trace.extend((SortedListEvent(length),))
 
     def charge_sort(self, length: int) -> None:
         self.elementary_ops += sort_charge(length)
@@ -223,7 +225,7 @@ class ComparisonLedger:
     def emit(self, mask: int) -> None:
         """Record that a solution mask was output (trace event only)."""
         if self.trace is not None:
-            self.trace.append(EmitEvent(mask))
+            self.trace.extend((EmitEvent(mask),))
 
 
 def dump_trace(trace) -> str:
@@ -277,23 +279,19 @@ def parse_trace(text: str) -> list:
     int-to-str digit limit.
 
     The text is cut into chunks of about _CHUNK_CHARS, each after a
-    newline. The lines before its first CMP record, such as a mitm dump's
-    LIST records, and its last line, such as a dump's EMIT record, are
-    chunks of their own. A chunk of plain CMP records, each ending in
-    "\n", is decoded in bulk and validated as it is decoded (see
-    _decode_compares); any other chunk, such as one holding a LIST or EMIT
-    record or a decimal past the digit limit, goes through the per-line
-    parser, and the next chunk tries the bulk decoder again. The cyclic
-    collector stays paused throughout (see _gc_paused).
+    newline, and its last line, such as a brute dump's EMIT record, is a
+    chunk of its own. A chunk of CMP records against one rhs text, each
+    ending in "\n", as a brute dump's are, is decoded in bulk and
+    validated as it is decoded (see _decode_compares). Every other chunk,
+    such as a mitm dump's or one holding a LIST or EMIT record, goes
+    through the per-line parser, and the next chunk tries the bulk decoder
+    again. The cyclic collector stays paused throughout (see _gc_paused).
     """
     events = []
     start, size, lineno = 0, len(text), 1
-    # Where the first CMP line and the text's last line start. A dump that
-    # opens with CMP, as brute's does, is not searched.
-    first = 0 if text.startswith("CMP") else text.find("\nCMP") + 1
-    last = text.rfind("\n", 0, size - 1) + 1
+    last = text.rfind("\n", 0, size - 1) + 1  # where the text's last line starts
     while start < size:
-        end = first if start < first else last if start < last else size
+        end = last if start < last else size
         stop = text.find("\n", start + _CHUNK_CHARS, end) + 1 or end
         chunk = text[start:stop]
         try:
@@ -308,17 +306,17 @@ def parse_trace(text: str) -> list:
 
 
 def _decode_compares(records: str) -> list:
-    """The CompareEvents of a run of CMP records, validated as they decode.
+    """The CompareEvents of a run of CMP records against one rhs, validated.
 
     Split on " ", the records are 3 tokens each after a first "CMP": two
     operands and an outcome joined to the next record's "CMP", or to the
     final "\n". Outcomes are looked up in _INNER_OUTCOMES and
-    _LAST_OUTCOMES, so anything else raises KeyError. An operand made only
+    _LAST_OUTCOMES, so anything else raises KeyError. The rhs texts must
+    all be one text, as brute's target is, which is converted once; two
+    rhs texts, as in a mitm scan, raise ValueError. An operand made only
     of "-" and ASCII digits that int() accepts is exactly -?[0-9]+;
-    anything else raises ValueError. Each distinct rhs text is converted
-    once; a run whose rhs texts are all one text, as brute's target is,
-    repeats that one value without a lookup per record. Anything but such
-    a run raises KeyError or ValueError, having decoded nothing.
+    anything else raises ValueError. Anything but such a run raises
+    KeyError or ValueError, having decoded nothing.
     """
     tokens = records.split(" ")
     if tokens[0] != "CMP" or len(tokens) % 3 != 1:
@@ -327,17 +325,13 @@ def _decode_compares(records: str) -> list:
     outcomes = [*map(_INNER_OUTCOMES.__getitem__, tokens[3:-1:3]),
                 _LAST_OUTCOMES[tokens[-1]]]
     lhs_texts, rhs_texts = tokens[1::3], tokens[2::3]
-    first = rhs_texts[0]
-    if rhs_texts.count(first) == len(rhs_texts):
-        rhs_chars, rhs_values = first, repeat(int(first))
-    else:
-        values = {rhs: int(rhs) for rhs in set(rhs_texts)}
-        rhs_chars, rhs_values = "".join(values), map(values.__getitem__, rhs_texts)
-    if (_OPERAND_CHARS_RE.fullmatch("".join(lhs_texts)) is None
-            or _OPERAND_CHARS_RE.fullmatch(rhs_chars) is None):
+    rhs = rhs_texts[0]
+    if rhs_texts.count(rhs) != len(rhs_texts):
+        raise ValueError("not a run against one rhs")
+    if _OPERAND_CHARS_RE.fullmatch("".join(lhs_texts) + rhs) is None:
         raise ValueError("an operand is not a decimal integer")
     return list(map(tuple.__new__, repeat(CompareEvent),
-                    zip(map(int, lhs_texts), rhs_values, outcomes)))
+                    zip(map(int, lhs_texts), repeat(int(rhs)), outcomes)))
 
 
 def _parse_lines(text: str, first_lineno: int = 1) -> list:

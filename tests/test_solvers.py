@@ -172,8 +172,9 @@ def test_brute_bulk_trace_matches_per_mask_reference(inst, bits):
 
 
 def test_brute_memory_flat_in_n():
-    # The only list brute holds is the block of low sums, at most 2^10
-    # entries whatever n is (about 49 KB on 64-bit CPython 3.11).
+    # Brute holds one block of low sums, at most 2^10 entries whatever n
+    # is, as a tuple and as a hex text. The peak, on random n = 18, is
+    # 59.5-59.7 KB on 64-bit CPython 3.11.7 and 59.7 KB on 3.13.
     for inst in [gen_powers_of_two(24), gen_random_wide(18, 1)]:
         tracemalloc.start()
         try:
@@ -686,6 +687,24 @@ def test_ledger_calls_constant_in_n(solver):
                 assert len(compares) == led.compare_count
             calls.append(led.calls)
         assert calls[0] == calls[1], traced
+
+
+class ExtendOnlyTrace(list):
+    """A trace list that refuses append: a ledger must hand it runs."""
+
+    def append(self, event):
+        raise AssertionError(f"append({event!r}) on a trace")
+
+
+@pytest.mark.parametrize("solver", [brute_force_solve, mitm_solve])
+def test_ledger_hands_its_trace_every_event_through_extend(solver):
+    # A planted instance, so the trace holds LIST records (mitm), brute's
+    # hit and its EMIT record as well as misses.
+    inst, _ = gen_planted(12, 1, 5)
+    plain, extend_only = ComparisonLedger([]), ComparisonLedger(ExtendOnlyTrace())
+    assert solver(inst, extend_only) == solver(inst, plain)
+    assert list(extend_only.trace) == plain.trace
+    assert any(type(event) is EmitEvent for event in plain.trace)
 
 
 def test_result_check_survives_optimize_flag():
