@@ -100,7 +100,8 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
     Per-row seeds are derived statelessly from (master_seed, n, trial), so
     the rows a run produces never depend on which other rows ran. A row
     whose solver cap is exceeded, or that is smaller than planted_size, is
-    skipped with a warning on stderr. The grid is refused before any row
+    skipped with a warning on stderr; one past the cap in _N_CAPS is
+    skipped before its instance is drawn. The grid is refused before any row
     runs unless GeneratorSpec accepts it at n_max and 0 <= n_min <= n_max.
     """
     GeneratorSpec(family, n_max, master_seed, planted_size)
@@ -110,12 +111,14 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
         raise ValueError("step must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    solver = _solver_for(algo)
+    solver, cap = _solver_for(algo), _N_CAPS[algo]
     records = []
     for n in range(n_min, n_max + 1, step):
         for trial in range(trials):
             seed = derive_seed(master_seed, n, trial)
             try:
+                if n > cap:  # drawing a random instance costs about n^2
+                    raise CapExceededError(f"{algo} is capped at n={cap}, got n={n}")
                 instance = _build_instance(family, n, seed, planted_size)
                 ledger = ComparisonLedger()
                 start = time.perf_counter()

@@ -20,8 +20,8 @@ from .bench import (BENCH_ALGOS, fit_growth, group_records, read_records_csv,
 from .generators import FAMILIES, GeneratorSpec, dumps_meta, generate
 from .ledger import (FULL_TRACE_MAX_N, ComparisonLedger, dump_trace,
                      tradeoff_report)
-from .model import (_DECIMAL_RE, InstanceFormatError, _write_text, read_instance,
-                    subset_sum, verify, write_instance)
+from .model import (_DECIMAL_RE, InstanceFormatError, _parse_decimal, _write_text,
+                    read_instance, subset_sum, verify, write_instance)
 from .solvers import CapExceededError, brute_force_solve, dp_solve, mitm_solve
 
 SOLVE_ALGOS = ("brute", "mitm", "dp")
@@ -42,7 +42,10 @@ def _parse_int(value: str) -> int:
     # int() would accept "1_0", spaces and non-ASCII digits; files do not.
     if not _DECIMAL_RE.fullmatch(value):
         raise argparse.ArgumentTypeError(f"expected a decimal integer, got {value!r}")
-    return int(value)
+    try:
+        return _parse_decimal(value, "the integer")
+    except InstanceFormatError as exc:  # past the interpreter's digit limit
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _produce(paths, work, write):

@@ -17,7 +17,8 @@ a trace list, as in ComparisonLedger([]), adds each charged comparison,
 sorted list build, and solution emission to it as an event; dump_trace
 and parse_trace convert events to and from the line format, and
 solution_witness_check replays them. Solvers refuse a tracing ledger
-above n = FULL_TRACE_MAX_N.
+above n = FULL_TRACE_MAX_N. parse_trace decodes a brute dump's CMP records
+in bulk and hands any other text whole to the per-line parser.
 
 Every event reaches the trace through its extend, in a run: one event for
 record_compare, record_sorted_list and emit. Solvers run one loop, traced
@@ -278,31 +279,28 @@ def parse_trace(text: str) -> list:
     naming its line number, as does a decimal past the interpreter's
     int-to-str digit limit.
 
-    The text is cut into chunks of about _CHUNK_CHARS, each after a
-    newline, and its last line, such as a brute dump's EMIT record, is a
-    chunk of its own. A chunk of CMP records against one rhs text, each
-    ending in "\n", as a brute dump's are, is decoded in bulk and
-    validated as it is decoded (see _decode_compares). Every other chunk,
-    such as a mitm dump's or one holding a LIST or EMIT record, goes
-    through the per-line parser, and the next chunk tries the bulk decoder
-    again. The cyclic collector stays paused throughout (see _gc_paused).
+    A text is read one of two ways. A brute dump, CMP records against one
+    rhs text, each ending in "\n", then a last line such as its EMIT
+    record, is decoded in bulk: the text before its last line in chunks
+    of about _CHUNK_CHARS, each cut after a newline and validated as it is
+    decoded (see _decode_compares), and the last line by _parse_lines. Any
+    other text, such as a mitm dump, which opens with LIST records, or one
+    with an odd line, is refused by that path; its partial events are
+    dropped and _parse_lines reads the whole text, numbering the lines
+    itself. The cyclic collector stays paused throughout (see _gc_paused).
     """
-    events = []
-    start, size, lineno = 0, len(text), 1
-    last = text.rfind("\n", 0, size - 1) + 1  # where the text's last line starts
-    while start < size:
-        end = last if start < last else size
-        stop = text.find("\n", start + _CHUNK_CHARS, end) + 1 or end
-        chunk = text[start:stop]
-        try:
-            events += _decode_compares(chunk)
-            lineno += chunk.count("\n")
-        except (KeyError, ValueError):
-            # The per-line parser accepts or names the odd line.
-            events += _parse_lines(chunk, lineno)
-            lineno += len(chunk.splitlines())
-        start = stop
-    return events
+    events, start = [], 0
+    last = text.rfind("\n", 0, len(text) - 1) + 1  # where the text's last line starts
+    try:
+        while start < last:
+            stop = text.find("\n", start + _CHUNK_CHARS, last) + 1 or last
+            events += _decode_compares(text[start:stop])
+            start = stop
+        events += _parse_lines(text[last:])
+        return events
+    except (KeyError, ValueError):
+        events = None  # freed before the whole text is parsed again
+    return _parse_lines(text)
 
 
 def _decode_compares(records: str) -> list:
@@ -316,7 +314,8 @@ def _decode_compares(records: str) -> list:
     rhs texts, as in a mitm scan, raise ValueError. An operand made only
     of "-" and ASCII digits that int() accepts is exactly -?[0-9]+;
     anything else raises ValueError. Anything but such a run raises
-    KeyError or ValueError, having decoded nothing.
+    KeyError or ValueError, having decoded nothing, and parse_trace then
+    reads the whole text with _parse_lines.
     """
     tokens = records.split(" ")
     if tokens[0] != "CMP" or len(tokens) % 3 != 1:
@@ -334,14 +333,11 @@ def _decode_compares(records: str) -> list:
                     zip(map(int, lhs_texts), repeat(int(rhs)), outcomes)))
 
 
-def _parse_lines(text: str, first_lineno: int = 1) -> list:
-    """The per-line parser: every line that parse_trace accepts, and its errors.
-
-    Error messages number the lines from first_lineno.
-    """
+def _parse_lines(text: str) -> list:
+    """The per-line parser: every line that parse_trace accepts, and its errors."""
     events = []
     is_record = re.compile(_RECORD).fullmatch
-    for lineno, line in enumerate(text.splitlines(), first_lineno):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         if is_record(line) is None:

@@ -1,5 +1,6 @@
 """Scaling experiment records, CSV handling, and growth fitting."""
 
+import dataclasses
 import re
 
 import pytest
@@ -133,6 +134,32 @@ def test_cap_exceeded_rows_skipped(tmp_path, capsys, monkeypatch):
     # the written CSV holds only the surviving rows
     write_records_csv(records, tmp_path / "skip.csv")
     assert len(read_records_csv(tmp_path / "skip.csv")) == 2
+
+
+def test_rows_past_the_cap_skipped_before_drawing(capsys, monkeypatch):
+    # Drawing a random instance costs about n^2, so a row past the solver's
+    # cap is skipped before its instance is drawn.
+    import subsum.bench as bench_mod
+    real, limit = bench_mod.gen_random_wide, {}
+
+    def draw(n, seed):
+        if n > limit["n"]:  # raised, not asserted, so that python -O checks it too
+            raise AssertionError(f"drew an instance at n={n}")
+        return real(n, seed)
+    monkeypatch.setattr(bench_mod, "gen_random_wide", draw)
+    for algo, cap in [("brute", BRUTE_FORCE_MAX_N), ("mitm", MITM_MAX_N)]:
+        limit["n"] = cap
+        assert run_scaling_experiment(algo, "random", cap + 1, cap + 3, 1, 2, 0) == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: skipping n={n} trial={trial}: {algo} is capped at n={cap}, got n={n}"
+            for n in range(cap + 1, cap + 4) for trial in range(2)]
+    # Rows within the cap are those of a grid that stops at it.
+    limit["n"] = 6
+    want = run_scaling_experiment("brute", "random", 4, 6, 1, 2, 3)
+    monkeypatch.setitem(bench_mod._N_CAPS, "brute", 6)
+    got = run_scaling_experiment("brute", "random", 4, 9, 1, 2, 3)
+    assert ([dataclasses.replace(r, wall_time=0.0) for r in got]
+            == [dataclasses.replace(r, wall_time=0.0) for r in want])
 
 
 def test_csv_round_trip_and_write_order(tmp_path):

@@ -729,6 +729,27 @@ def test_integer_flags_take_ascii_decimal_only(tmp_path, capsys, text):
     assert run_cli(*gen, "--n", "08", "--seed", "-0", "--size", "3") == 0
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "-" + "7" * 5000])
+def test_integer_flags_name_the_digit_limit(tmp_path, capsys, text):
+    # int() refuses past the limit with a message argparse would replace by
+    # one that echoes every digit.
+    out = str(tmp_path / "x.json")
+    gen = ["gen", "--family", "planted", "--n", "8", "--out", out]
+    bench = ["bench", "--algo", "mitm", "--family", "planted", "--n-min", "4",
+             "--n-max", "8", "--out", str(tmp_path / "x.csv")]
+    for argv, flag in [(gen, "--n"), (gen, "--seed"), (gen, "--size"),
+                       (bench, "--n-min"), (bench, "--n-max"), (bench, "--step"),
+                       (bench, "--trials"), (bench, "--seed"), (bench, "--size")]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, flag, text)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"argument {flag}: the integer has 5000 digits, over the interpreter's "
+                f"limit of {sys.get_int_max_str_digits()}\n") in err
+        assert len(err) < 500, err
+    assert os.listdir(tmp_path) == []
+
+
 def test_parser_built_once_and_reused(tmp_path, capsys):
     assert build_parser() is build_parser()
     inst = tmp_path / "i.json"

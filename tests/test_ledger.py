@@ -298,8 +298,8 @@ def test_parse_trace_digit_limit_names_its_line(chunk):
 
 @pytest.mark.parametrize("chunk", [1, 40, 1 << 15])
 def test_parse_trace_list_digit_limit_names_its_line(chunk):
-    # The LIST record sits in a chunk that also holds CMP records, so the
-    # per-line parser must number that chunk's lines from its place in the text.
+    # The LIST record sits among CMP records, after chunks decoded in bulk,
+    # so its line must be numbered from the start of the text.
     lines = [f"CMP {i} 500 LT" for i in range(3000)]
     lines[2500] = f"LIST {'7' * 5000}"
     text = "".join(line + "\n" for line in lines)
@@ -385,54 +385,75 @@ def real_dumps():
 
 def test_parse_trace_sends_only_a_brute_dumps_emit_line_per_line(monkeypatch, real_dumps):
     # Every chunk before the last line is plain CMP records, so only the
-    # closing EMIT record, a chunk of its own, reaches the per-line parser.
+    # closing EMIT record reaches the per-line parser.
     text = real_dumps[0]
     assert len(text) > 3 * ledger._CHUNK_CHARS
     calls = []
 
-    def per_line(chunk, first_lineno=1):
-        calls.append((chunk, first_lineno))
-        return _parse_lines(chunk, first_lineno)
+    def per_line(chunk):
+        calls.append(chunk)
+        return _parse_lines(chunk)
     monkeypatch.setattr(ledger, "_parse_lines", per_line)
     events = parse_trace(text)
     lines = text.splitlines(keepends=True)
-    assert calls == [(lines[-1], len(lines))]
+    assert calls == [lines[-1]]
     assert lines[-1].startswith("EMIT ")
     assert events == _parse_lines(text)
 
 
-def test_parse_trace_decodes_only_one_rhs_runs_of_a_mitm_dump_in_bulk(
-        monkeypatch, real_dumps):
-    # Only a run of CMP records against one rhs text is decoded in bulk;
-    # every other chunk of a mitm dump goes to the per-line parser. The
-    # planted n = 24 seed 3 dump, as CI writes it, changes rhs every few
-    # records, so every chunk goes there. The fixture's dump passes all but
-    # one front sum below a single back sum: its first chunk, which holds
-    # the LIST records and the first CMP records, and the closing EMIT
-    # record go per line, and the one-rhs chunks between them in bulk.
+def test_parse_trace_reads_a_mitm_dump_whole_per_line(monkeypatch, real_dumps):
+    # A mitm dump opens with its two LIST records, which the bulk decoder
+    # refuses, so the per-line parser reads the whole text, once. That holds
+    # for the planted n = 24 seed 3 dump, as CI writes it, whose rhs changes
+    # every few records, and for the fixture's dump, whose middle chunks
+    # share one back sum.
     inst, _ = generate(GeneratorSpec("planted", 24, 3))
     led = ComparisonLedger([])
     mitm_solve(inst, led)
     calls = []
 
-    def per_line(chunk, first_lineno=1):
-        calls.append((chunk, first_lineno))
-        return _parse_lines(chunk, first_lineno)
+    def per_line(text):
+        calls.append(text)
+        return _parse_lines(text)
     monkeypatch.setattr(ledger, "_parse_lines", per_line)
     for text in [dump_trace(led.trace), real_dumps[1]]:
         assert len(text) > 3 * ledger._CHUNK_CHARS
+        assert text.startswith("LIST ")
         calls.clear()
         events = parse_trace(text)
+        assert calls == [text]
         assert events == _parse_lines(text)
-        lines = text.splitlines(keepends=True)
-        assert [line.split(" ")[0] for line in lines[:3]] == ["LIST", "LIST", "CMP"]
-        assert calls[0][0].startswith(lines[0] + lines[1] + lines[2])
-        assert calls[-1] == (lines[-1], len(lines))
-        assert lines[-1].startswith("EMIT ")
-        if text is real_dumps[1]:
-            assert len(calls) == 2
-        else:
-            assert "".join(chunk for chunk, _ in calls) == text
+
+
+def test_parse_trace_drops_refused_events_before_the_per_line_parse(
+        monkeypatch, real_dumps):
+    # A "\r\n" that ends the last CMP record makes the bulk decoder refuse
+    # the last chunk, after every chunk before it was decoded. Those events
+    # are dropped: parse_trace returns the per-line parser's events, and its
+    # peak is that parser's own, not that plus a near-whole trace of tuples.
+    text = real_dumps[0]
+    at = text.rindex("\n", 0, len(text) - 1)
+    text = text[:at] + "\r\n" + text[at + 1:]
+    calls = []
+
+    def per_line(whole):
+        calls.append((whole, _parse_lines(whole)))
+        return calls[-1][1]
+    with monkeypatch.context() as patch:
+        patch.setattr(ledger, "_parse_lines", per_line)
+        events = parse_trace(text)
+    assert [whole for whole, _ in calls] == [text] and events is calls[0][1]
+    del events, calls
+    peaks = []
+    for parse in (parse_trace, _parse_lines):
+        tracemalloc.start()
+        try:
+            parse(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.1 * peaks[1], (
+        f"parse_trace peaked at {peaks[0]} B, the per-line parser at {peaks[1]} B")
 
 
 @pytest.mark.parametrize("splice, later", [
@@ -442,10 +463,10 @@ def test_parse_trace_decodes_only_one_rhs_runs_of_a_mitm_dump_in_bulk(
 ], ids=["crlf", "blank", "whitespace", "short_cmp", "negative_list", "digit_limit",
         "cr_then_short_cmp", "vt_then_short_cmp", "blank_then_short_cmp"])
 def test_parse_trace_matches_per_line_parser_on_real_dumps(real_dumps, splice, later):
-    # One odd line in a middle chunk, at the default chunk size: that chunk
-    # goes to the per-line parser, and the chunks around it are bulk-decoded.
-    # A later splice, two chunks on, is a malformed line whose number counts
-    # the lines of the per-line chunk and of the bulk chunks after it.
+    # One odd line in a middle chunk, at the default chunk size, after chunks
+    # that may be bulk-decoded: parse_trace must drop them and read the whole
+    # text per line. A later splice, two chunks on, is a malformed line whose
+    # number counts every line before it.
     for text in real_dumps:
         assert len(text) > 3 * ledger._CHUNK_CHARS
         at = text.index("\n", len(text) // 2)
