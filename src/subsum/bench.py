@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from .generators import (FAMILY_POWERS2, FAMILY_RANDOM, GeneratorSpec,
                          gen_planted, gen_powers_of_two, gen_random_wide)
 from .ledger import ComparisonLedger
-from .model import Instance, _parse_decimal, _write_text
+from .model import Instance, _parse_decimal, _quote, _write_text
 from .rng import derive_seed
-from .solvers import (BRUTE_FORCE_MAX_N, MITM_MAX_N, CapExceededError,
-                      brute_force_solve, mitm_solve)
+from .solvers import BRUTE_FORCE_MAX_N, MITM_MAX_N, brute_force_solve, mitm_solve
 
 ALGO_BRUTE = "brute"
 ALGO_MITM = "mitm"
@@ -63,10 +62,14 @@ def fit_growth(points) -> GrowthFit:
     points = list(points)
     if len({n for n, _ in points}) < 4:
         raise ValueError("need at least 4 distinct n values to fit growth")
+    xs = []
     for n, count in points:
         if count <= 0:
             raise ValueError(f"count must be positive to fit log growth, got {count} at n={n}")
-    xs = [float(n) for n, _ in points]
+        try:  # not exit 1 from the CLI, which reads as a tradeoff violation
+            xs.append(float(n))
+        except OverflowError:
+            raise ValueError(f"n={_quote(n)} is too large to fit as a float") from None
     ys = [math.log2(count) for _, count in points]
     slope, intercept = statistics.linear_regression(xs, ys)
     rmse = math.sqrt(sum((y - (slope * x + intercept)) ** 2
@@ -79,30 +82,19 @@ def _build_instance(family: str, n: int, seed: int, planted_size: int | None) ->
         return gen_powers_of_two(n)
     if family == FAMILY_RANDOM:
         return gen_random_wide(n, seed)
-    if planted_size is not None and planted_size > n:
-        raise CapExceededError(f"planted size {planted_size} exceeds n={n}")
     return gen_planted(n, seed, planted_size)[0]
-
-
-def _solver_for(algo: str):
-    if algo == ALGO_BRUTE:
-        return brute_force_solve
-    if algo == ALGO_MITM:
-        return mitm_solve
-    raise ValueError(f"unknown benchmark algorithm {algo!r}, expected one of {BENCH_ALGOS}")
 
 
 def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
                            step: int, trials: int, master_seed: int, *,
                            planted_size: int | None = None) -> list[ExperimentRecord]:
-    """One record per (n, trial), in order.
+    """One record per (n, trial) of the grid rows that run, in order.
 
     Per-row seeds are derived statelessly from (master_seed, n, trial), so
-    the rows a run produces never depend on which other rows ran. A row
-    whose solver cap is exceeded, or that is smaller than planted_size, is
-    skipped with a warning on stderr; one past the cap in _N_CAPS is
-    skipped before its instance is drawn. The grid is refused before any row
-    runs unless GeneratorSpec accepts it at n_max and 0 <= n_min <= n_max.
+    the rows a run produces never depend on which other rows ran. Grid points
+    below planted_size or past _N_CAPS[algo] are skipped before any is drawn,
+    one stderr warning per reason. The grid is refused if none is left, if
+    GeneratorSpec refuses it at n_max, or unless 0 <= n_min <= n_max.
     """
     GeneratorSpec(family, n_max, master_seed, planted_size)
     if not 0 <= n_min <= n_max:
@@ -111,22 +103,29 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
         raise ValueError("step must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    solver, cap = _solver_for(algo), _N_CAPS[algo]
+    if algo not in _N_CAPS:
+        raise ValueError(f"unknown benchmark algorithm {algo!r}, expected one of {BENCH_ALGOS}")
+    # grid[:below] is below the planted size, grid[upto:] past the cap.
+    # Range slices and indices are exact for any int, where len() overflows.
+    grid, cap, size = range(n_min, n_max + 1, step), _N_CAPS[algo], planted_size or 0
+    below, upto = max(0, -((n_min - size) // step)), max(0, (cap - n_min) // step + 1)
+    skipped = [f"n={r[0]}..{r[-1]}: {why}" for r, why in (
+        (grid[:below], f"planted size {size} exceeds n"),
+        (grid[upto:], f"{algo} is capped at n={cap}")) if r]
+    if not grid[below:upto]:
+        raise ValueError(f"no row of the grid runs: {'; '.join(skipped)}")
+    for note in skipped:
+        print(f"warning: skipping {note}", file=sys.stderr)
+    solver = brute_force_solve if algo == ALGO_BRUTE else mitm_solve
     records = []
-    for n in range(n_min, n_max + 1, step):
+    for n in grid[below:upto]:
         for trial in range(trials):
             seed = derive_seed(master_seed, n, trial)
-            try:
-                if n > cap:  # drawing a random instance costs about n^2
-                    raise CapExceededError(f"{algo} is capped at n={cap}, got n={n}")
-                instance = _build_instance(family, n, seed, planted_size)
-                ledger = ComparisonLedger()
-                start = time.perf_counter()
-                result = solver(instance, ledger)
-                elapsed = time.perf_counter() - start
-            except CapExceededError as exc:
-                print(f"warning: skipping n={n} trial={trial}: {exc}", file=sys.stderr)
-                continue
+            instance = _build_instance(family, n, seed, planted_size)
+            ledger = ComparisonLedger()
+            start = time.perf_counter()
+            result = solver(instance, ledger)
+            elapsed = time.perf_counter() - start
             records.append(ExperimentRecord(
                 n=n, family=family, algo=algo, seed=seed, trial=trial,
                 compare_count=result.compare_count,
@@ -173,12 +172,12 @@ def read_records_csv(path) -> list[ExperimentRecord]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_FIELDS:
-            raise ValueError(f"unexpected CSV header {header!r}")
+            raise ValueError(f"unexpected CSV header {_quote(header)}")
         records = []
         for row in reader:
             where = f"malformed CSV row at line {reader.line_num}"
             if len(row) != len(CSV_FIELDS) or not _WALL_TIME_RE.fullmatch(row[8]):
-                raise ValueError(f"{where}: {row!r}")
+                raise ValueError(f"{where}: {_quote(row)}")
             try:  # names the column of a non-decimal, over-long or negative integer
                 n, seed, trial, c, m, t = [_parse_count(row[i], CSV_FIELDS[i])
                                            for i in _INT_COLUMNS]

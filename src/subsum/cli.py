@@ -20,8 +20,8 @@ from .bench import (BENCH_ALGOS, fit_growth, group_records, read_records_csv,
 from .generators import FAMILIES, GeneratorSpec, dumps_meta, generate
 from .ledger import (FULL_TRACE_MAX_N, ComparisonLedger, dump_trace,
                      tradeoff_report)
-from .model import (_DECIMAL_RE, InstanceFormatError, _parse_decimal, _write_text,
-                    read_instance, subset_sum, verify, write_instance)
+from .model import (_DECIMAL_RE, InstanceFormatError, _parse_decimal, _quote,
+                    _write_text, read_instance, subset_sum, verify, write_instance)
 from .solvers import CapExceededError, brute_force_solve, dp_solve, mitm_solve
 
 SOLVE_ALGOS = ("brute", "mitm", "dp")
@@ -41,7 +41,7 @@ def meta_path_for(out_path: str) -> str:
 def _parse_int(value: str) -> int:
     # int() would accept "1_0", spaces and non-ASCII digits; files do not.
     if not _DECIMAL_RE.fullmatch(value):
-        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {value!r}")
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {_quote(value)}")
     try:
         return _parse_decimal(value, "the integer")
     except InstanceFormatError as exc:  # past the interpreter's digit limit
@@ -179,7 +179,7 @@ def cmd_check(args) -> int:
     # int(text, 16) would accept whitespace, "_", a sign and "0x"; the mask
     # format is bare hex digits, as decimal strings are in instance files.
     if not _HEX_RE.fullmatch(args.mask):
-        raise CliError(f"mask must be hexadecimal, got {args.mask!r}")
+        raise CliError(f"mask must be hexadecimal, got {_quote(args.mask)}")
     mask = int(args.mask, 16)
     total = subset_sum(instance, mask)
     if verify(instance, mask):

@@ -26,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .model import Instance, InstanceFormatError, loads_object, subset_sum
+from .model import Instance, InstanceFormatError, _quote, loads_object, subset_sum
 from .rng import SplitMix64
 
 FAMILY_POWERS2 = "powers2"
@@ -191,16 +191,16 @@ def loads_meta(text: str) -> InstanceMeta:
     family, seed = doc["family"], doc["seed"]
     verified, mask = doc["distinct_verified"], doc["planted_mask"]
     if family not in FAMILIES:
-        raise InstanceFormatError(f"family must be one of {FAMILIES}, got {family!r}")
+        raise InstanceFormatError(f"family must be one of {FAMILIES}, got {_quote(family)}")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)
                              or not 0 <= seed < (1 << 64)):
         raise InstanceFormatError(
-            f"seed must be null or an integer in [0, 2^64), got {seed!r}")
+            f"seed must be null or an integer in [0, 2^64), got {_quote(seed)}")
     if not isinstance(verified, bool):
-        raise InstanceFormatError(f"distinct_verified must be a boolean, got {verified!r}")
+        raise InstanceFormatError(f"distinct_verified must be a boolean, got {_quote(verified)}")
     # int(mask, 16) would also take "0x1f", " 1_f " and "-1".
     if mask is not None and not (isinstance(mask, str) and _HEX_RE.fullmatch(mask)):
         raise InstanceFormatError(
-            f"planted_mask must be null or a lowercase hex string, got {mask!r}")
+            f"planted_mask must be null or a lowercase hex string, got {_quote(mask)}")
     return InstanceMeta(family, seed, verified,
                         int(mask, 16) if mask is not None else None)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count, groupby, repeat
 from typing import NamedTuple
 
-from .model import Instance, check_mask, subset_sum
+from .model import Instance, _quote, check_mask, subset_sum
 
 FULL_TRACE_MAX_N = 24
 
@@ -341,7 +341,7 @@ def _parse_lines(text: str) -> list:
         if not line.strip():
             continue
         if is_record(line) is None:
-            raise TraceError(f"line {lineno}: malformed record {line!r}")
+            raise TraceError(f"line {lineno}: malformed record {_quote(line)}")
         kind, _, value = line.partition(" ")
         try:
             if kind == "CMP":

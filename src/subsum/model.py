@@ -111,10 +111,16 @@ def dumps_instance(instance: Instance) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+def _quote(value) -> str:
+    """repr(value) for an error message; past 100 characters, a prefix and its length."""
+    text = repr(value)
+    return text if len(text) <= 100 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _parse_decimal(s, what: str) -> int:
     # int() would accept "1_0" and surrounding whitespace; the format does not.
     if not isinstance(s, str) or not _DECIMAL_RE.fullmatch(s):
-        raise InstanceFormatError(f"{what} must be a decimal string, got {s!r}")
+        raise InstanceFormatError(f"{what} must be a decimal string, got {_quote(s)}")
     try:
         return int(s)
     except ValueError:  # CPython refuses to convert past its digit limit
@@ -129,7 +135,7 @@ def _unique_keys(pairs) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise InstanceFormatError(f"duplicate key {key!r}")
+            raise InstanceFormatError(f"duplicate key {_quote(key)}")
         doc[key] = value
     return doc
 
@@ -140,6 +146,8 @@ def loads_object(text: str, keys, what: str) -> dict:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:  # not exit 1, which reads as a negative answer
+        raise InstanceFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{what} document must be a JSON object")
     missing = set(keys) - doc.keys()
@@ -153,7 +161,7 @@ def loads_instance(text: str) -> Instance:
     doc = loads_object(text, ("n", "a", "b"), "instance")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InstanceFormatError(f"n must be a nonnegative integer, got {n!r}")
+        raise InstanceFormatError(f"n must be a nonnegative integer, got {_quote(n)}")
     if not isinstance(doc["a"], list):
         raise InstanceFormatError("a must be a list of decimal strings")
     elements = tuple(_parse_decimal(s, "element") for s in doc["a"])

@@ -2,8 +2,12 @@
 
 import dataclasses
 import re
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsum import (fit_growth, group_records, read_records_csv,
                     run_scaling_experiment, tradeoff_report,
@@ -124,13 +128,10 @@ def test_empty_or_negative_grid_refused(n_min, n_max):
 
 def test_cap_exceeded_rows_skipped(tmp_path, capsys, monkeypatch):
     import subsum.bench as bench_mod
-    real = bench_mod.brute_force_solve
-    monkeypatch.setattr(bench_mod, "brute_force_solve",
-                        lambda inst, led: real(inst, led, max_n=6))
+    monkeypatch.setitem(bench_mod._N_CAPS, "brute", 6)
     records = run_scaling_experiment("brute", "powers2", 5, 8, 1, 1, 0)
     assert [r.n for r in records] == [5, 6]
-    err = capsys.readouterr().err
-    assert "skipping n=7" in err and "skipping n=8" in err
+    assert capsys.readouterr().err == "warning: skipping n=7..8: brute is capped at n=6\n"
     # the written CSV holds only the surviving rows
     write_records_csv(records, tmp_path / "skip.csv")
     assert len(read_records_csv(tmp_path / "skip.csv")) == 2
@@ -149,10 +150,10 @@ def test_rows_past_the_cap_skipped_before_drawing(capsys, monkeypatch):
     monkeypatch.setattr(bench_mod, "gen_random_wide", draw)
     for algo, cap in [("brute", BRUTE_FORCE_MAX_N), ("mitm", MITM_MAX_N)]:
         limit["n"] = cap
-        assert run_scaling_experiment(algo, "random", cap + 1, cap + 3, 1, 2, 0) == []
-        assert capsys.readouterr().err.splitlines() == [
-            f"warning: skipping n={n} trial={trial}: {algo} is capped at n={cap}, got n={n}"
-            for n in range(cap + 1, cap + 4) for trial in range(2)]
+        with pytest.raises(ValueError, match=f"^no row of the grid runs: "
+                           f"n={cap + 1}..{cap + 3}: {algo} is capped at n={cap}$"):
+            run_scaling_experiment(algo, "random", cap + 1, cap + 3, 1, 2, 0)
+        assert capsys.readouterr().err == ""
     # Rows within the cap are those of a grid that stops at it.
     limit["n"] = 6
     want = run_scaling_experiment("brute", "random", 4, 6, 1, 2, 3)
@@ -160,6 +161,58 @@ def test_rows_past_the_cap_skipped_before_drawing(capsys, monkeypatch):
     got = run_scaling_experiment("brute", "random", 4, 9, 1, 2, 3)
     assert ([dataclasses.replace(r, wall_time=0.0) for r in got]
             == [dataclasses.replace(r, wall_time=0.0) for r in want])
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: skipping n=7..9: brute is capped at n=6"]
+
+
+def test_huge_grid_decided_before_any_row(capsys, monkeypatch):
+    # The skipped rows are one range, never walked, so n_max may have any size.
+    import subsum.bench as bench_mod
+    real, drawn = bench_mod.gen_random_wide, []
+
+    def draw(n, seed):
+        drawn.append(n)
+        return real(n, seed)
+    monkeypatch.setattr(bench_mod, "gen_random_wide", draw)
+    monkeypatch.setitem(bench_mod._N_CAPS, "mitm", 6)
+    start = time.perf_counter()
+    records = run_scaling_experiment("mitm", "random", 4, 10 ** 30, 1, 1, 0)
+    assert time.perf_counter() - start < 1.0
+    assert [r.n for r in records] == drawn == [4, 5, 6]
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: skipping n=7..{10 ** 30}: mitm is capped at n=6"]
+    # A step past sys.maxsize and an n_max of thousands of digits.
+    records = run_scaling_experiment("mitm", "random", 5, 10 ** 4000, 10 ** 20, 1, 0)
+    assert [r.n for r in records] == [5]
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_planted_step_gap_refused(capsys):
+    # Size 6 fits n_max = 6, but the grid's points are 0 and 5.
+    with pytest.raises(ValueError, match="^no row of the grid runs: "
+                       "n=0..5: planted size 6 exceeds n$"):
+        run_scaling_experiment("mitm", "planted", 0, 6, 5, 1, 0, planted_size=6)
+    assert capsys.readouterr().err == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(algo=st.sampled_from(["brute", "mitm"]), cap=st.integers(0, 12),
+       n_min=st.integers(0, 12), span=st.integers(0, 12), step=st.integers(1, 7),
+       size=st.integers(0, 12), trials=st.integers(1, 2))
+def test_rows_run_are_the_grid_within_size_and_cap(algo, cap, n_min, span, step,
+                                                  size, trials):
+    import subsum.bench as bench_mod
+    n_max = n_min + span
+    want = [n for n in range(n_min, n_max + 1, step) if size <= n <= cap]
+    with mock.patch.dict(bench_mod._N_CAPS, {algo: cap}):
+        try:
+            records = run_scaling_experiment(algo, "planted", n_min, n_max, step,
+                                             trials, 1, planted_size=size)
+        except ValueError as exc:
+            # GeneratorSpec's own refusal, or a grid none of whose rows runs
+            assert size > n_max or (not want and "no row of the grid runs" in str(exc))
+            return
+    assert [(r.n, r.trial) for r in records] == [(n, t) for n in want for t in range(trials)]
 
 
 def test_csv_round_trip_and_write_order(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -797,3 +798,71 @@ def test_readme_library_example_as_a_subprocess(tmp_path):
     # README's "# " line shows what the block prints.
     shown = [line[2:] for line in code.splitlines() if line.startswith("# ")]
     assert proc.stdout.splitlines() == shown == ["0x14 8 88"]
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_deeply_nested_instance_exits_2(tmp_path, capsys, command):
+    # Exit 1 would read as "no solution" or NOMATCH.
+    path = tmp_path / "deep.json"
+    path.write_text('{"n":' + "[" * 100_000 + "]" * 100_000 + ',"a":[],"b":"0"}')
+    argv = ["--algo", "brute"] if command == "solve" else ["--mask", "0"]
+    assert run_cli(command, "--in", str(path), *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not valid JSON: nested too deeply\n"
+
+
+def test_report_refuses_n_too_large_for_a_float(tmp_path, capsys):
+    # Free-form labels have no n cap; exit 1 would read as TRADEOFF VIOLATION.
+    path = tmp_path / "huge.csv"
+    path.write_text("n,family,algo,seed,trial,C,M,T,wall_time\n" + "".join(
+        f"{10 ** 400 + k},y,x,0,0,4,2,8,0.000100\n" for k in range(4)))
+    assert run_cli("report", "--csv", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "group algo=x family=y rows=4 distinct_n=4"
+    assert captured.err.startswith("error: n=1000")
+    assert captured.err.endswith(" (401 characters) is too large to fit as a float\n")
+
+
+def test_bench_grid_with_no_runnable_row_exits_2(tmp_path, capsys):
+    # Size 6 fits n_max = 6, but the grid's points are 0 and 5.
+    path = tmp_path / "x.csv"
+    assert run_cli("bench", "--algo", "mitm", "--family", "planted", "--size", "6",
+                   "--n-min", "0", "--n-max", "6", "--step", "5", "--out", str(path)) == 2
+    assert capsys.readouterr().err == (
+        "error: no row of the grid runs: n=0..5: planted size 6 exceeds n\n")
+    assert os.listdir(tmp_path) == []
+
+
+_LONG = "1_" * 50_000  # 100,000 characters
+_CSV_HEAD = "n,family,algo,seed,trial,C,M,T,wall_time\n"
+
+
+@pytest.mark.parametrize("text, argv, names", [
+    (None, ["gen", "--family", "powers2", "--n", _LONG, "--out", "g.json"],
+     "argument --n: expected a decimal integer, got '1_1_"),
+    (None, ["check", "--in", "f", "--mask", _LONG], "mask must be hexadecimal, got '1_1_"),
+    (json.dumps({"n": 1, "a": [_LONG], "b": "0"}), ["solve", "--in", "f", "--algo", "brute"],
+     "element must be a decimal string, got '1_1_"),
+    (json.dumps({"n": _LONG, "a": [], "b": "0"}), ["solve", "--in", "f", "--algo", "brute"],
+     "n must be a nonnegative integer, got '1_1_"),
+    (f'{{"{_LONG}":1,"{_LONG}":2}}', ["solve", "--in", "f", "--algo", "brute"],
+     "duplicate key '1_1_"),
+    (_CSV_HEAD + _LONG + "\n", ["report", "--csv", "f"], "malformed CSV row at line 2: ['1_1_"),
+    (_LONG + "\n", ["report", "--csv", "f"], "unexpected CSV header ['1_1_"),
+], ids=["int_flag", "mask", "element", "instance_n", "duplicate_key", "csv_row", "csv_header"])
+def test_error_quotes_a_long_offender_bounded(tmp_path, capsys, monkeypatch, text, argv, names):
+    monkeypatch.chdir(tmp_path)
+    if text is None:
+        write_instance(Instance((1, 2), 3), "f")
+    else:
+        (tmp_path / "f").write_text(text)
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert names in message
+    assert re.search(r"\.\.\. \(10000[24] characters\)", message)  # the repr's length
+    assert len(message) < 1000, len(message)

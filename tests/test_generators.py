@@ -232,3 +232,16 @@ def test_loads_meta_refuses_bad_fields(field, value):
     doc = dict(_META_DOC, **{field: value})
     with pytest.raises(InstanceFormatError, match=field):
         loads_meta(json.dumps(doc))
+
+
+def test_loads_meta_refuses_deeply_nested_json():
+    # json.loads raises RecursionError, which is not a format error.
+    with pytest.raises(InstanceFormatError, match="nested too deeply"):
+        loads_meta('{"family":' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
+@pytest.mark.parametrize("field", ["family", "seed", "distinct_verified", "planted_mask"])
+def test_loads_meta_quotes_a_long_field_bounded(field):
+    with pytest.raises(InstanceFormatError, match=field) as exc:
+        loads_meta(json.dumps(dict(_META_DOC, **{field: "z" * 100_000})))
+    assert len(str(exc.value)) < 1000

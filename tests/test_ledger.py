@@ -812,3 +812,10 @@ def test_tradeoff_requires_records():
 def test_tradeoff_mixed_summary_counts():
     report = tradeoff_report([make_record(10, 1, 1024), make_record(4, 5, 4)])
     assert "1/2" in report.summary().splitlines()[0]
+
+
+def test_parse_trace_quotes_a_long_malformed_record_bounded():
+    with pytest.raises(TraceError, match="^line 2: malformed record '1_1_") as exc:
+        parse_trace("CMP 1 2 LT\n" + "1_" * 50_000 + "\n")
+    assert str(exc.value).endswith("... (100002 characters)")
+    assert len(str(exc.value)) < 1000
