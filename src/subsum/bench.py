@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .generators import (FAMILY_POWERS2, FAMILY_RANDOM, GeneratorSpec,
                          gen_planted, gen_powers_of_two, gen_random_wide)
 from .ledger import ComparisonLedger
-from .model import Instance, _parse_decimal, _quote, _write_text
+from .model import Instance, _int_text, _parse_decimal, _quote, _write_text
 from .rng import derive_seed
 from .solvers import BRUTE_FORCE_MAX_N, MITM_MAX_N, brute_force_solve, mitm_solve
 
@@ -98,7 +98,8 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
     """
     GeneratorSpec(family, n_max, master_seed, planted_size)
     if not 0 <= n_min <= n_max:
-        raise ValueError(f"need 0 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
+        raise ValueError(f"need 0 <= n_min <= n_max, got n_min={_int_text(n_min)}, "
+                         f"n_max={_int_text(n_max)}")
     if step < 1:
         raise ValueError("step must be >= 1")
     if trials < 1:
@@ -109,7 +110,7 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
     # Range slices and indices are exact for any int, where len() overflows.
     grid, cap, size = range(n_min, n_max + 1, step), _N_CAPS[algo], planted_size or 0
     below, upto = max(0, -((n_min - size) // step)), max(0, (cap - n_min) // step + 1)
-    skipped = [f"n={r[0]}..{r[-1]}: {why}" for r, why in (
+    skipped = [f"n={_int_text(r[0])}..{_int_text(r[-1])}: {why}" for r, why in (
         (grid[:below], f"planted size {size} exceeds n"),
         (grid[upto:], f"{algo} is capped at n={cap}")) if r]
     if not grid[below:upto]:

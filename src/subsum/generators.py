@@ -26,7 +26,8 @@ import json
 import re
 from dataclasses import dataclass
 
-from .model import Instance, InstanceFormatError, _quote, loads_object, subset_sum
+from .model import (Instance, InstanceFormatError, _int_text, _quote, loads_object,
+                    subset_sum)
 from .rng import SplitMix64
 
 FAMILY_POWERS2 = "powers2"
@@ -59,7 +60,7 @@ class GeneratorSpec:
             if self.family != FAMILY_PLANTED:
                 raise ValueError("planted_size is only valid for the planted family")
             if not 0 <= self.planted_size <= self.n:
-                raise ValueError(f"planted_size must be in [0, {self.n}]")
+                raise ValueError(f"planted_size must be in [0, {_int_text(self.n)}]")
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def gen_planted(n: int, seed: int, planted_size: int | None = None) -> tuple[Ins
     if planted_size is None:
         planted_size = n // 2
     if not 0 <= planted_size <= n:
-        raise ValueError(f"planted_size must be in [0, {n}]")
+        raise ValueError(f"planted_size must be in [0, {_int_text(n)}]")
     rng = SplitMix64(seed)
     while True:
         elements = _draw_elements(rng, n)

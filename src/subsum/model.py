@@ -111,9 +111,17 @@ def dumps_instance(instance: Instance) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+def _int_text(value: int) -> str:
+    """str(value), or its bit length past CPython's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
+
+
 def _quote(value) -> str:
     """repr(value) for an error message; past 100 characters, a prefix and its length."""
-    text = repr(value)
+    text = _int_text(value) if isinstance(value, int) else repr(value)
     return text if len(text) <= 100 else f"{text[:60]}... ({len(text)} characters)"
 
 

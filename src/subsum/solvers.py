@@ -149,18 +149,18 @@ def _lowest_mask(elements, total: int, ledger: ComparisonLedger | None = None) -
     return None
 
 
-def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None,
-                      *, max_n: int = BRUTE_FORCE_MAX_N) -> SolveResult:
+def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None) -> SolveResult:
     """Try every mask in ascending numeric order until one hits the target.
 
-    _lowest_mask's blocked walk visits the masks; each low-sum entry it
-    tests settles one mask, so each visited mask costs one comparison and
-    one generation charge, charged in bulk once the walk ends. No sorted
-    list is built, so the ledger's peak stays at its floor of 1. On an
-    unsolvable instance the comparison count is exactly 2^n. A tracing
-    ledger records one event per visited mask, in ascending mask order.
+    _lowest_mask's blocked walk visits the masks; each low-sum entry it tests
+    settles one mask, so each visited mask costs one comparison and one
+    generation charge, charged in bulk once the walk ends. No sorted list is
+    built, so the ledger's peak stays at its floor of 1. On an unsolvable
+    instance the comparison count is exactly 2^n. A tracing ledger records one
+    event per visited mask, in ascending order. Refused past BRUTE_FORCE_MAX_N.
     """
-    with _run(instance, ledger, ENCODING_SUM_VS_TARGET, "brute force", max_n) as ledger:
+    with _run(instance, ledger, ENCODING_SUM_VS_TARGET, "brute force",
+              BRUTE_FORCE_MAX_N) as ledger:
         solution = _lowest_mask(instance.elements, instance.target, ledger)
         visited = 1 << instance.n if solution is None else solution + 1
         ledger.charge_generated(visited)
@@ -186,8 +186,7 @@ def half_sums(instance: Instance, half: Half) -> list[HalfSumEntry]:
     return [HalfSumEntry(total, k << start) for k, total in enumerate(sums)]
 
 
-def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
-               *, max_n: int = MITM_MAX_N) -> SolveResult:
+def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None) -> SolveResult:
     """Meet-in-the-middle: sorted half-sum lists plus a two-pointer scan.
 
     The half lists hold plain ints and are built already ascending by
@@ -201,9 +200,9 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
     solution; complete because both halves are enumerated exhaustively. A
     hit recovers each half's mask with _lowest_mask, brute's blocked walk,
     untraced and uncharged, so the smallest front mask, then the smallest
-    back mask, wins at the first crossing value.
+    back mask, wins at the first crossing value. Refused past MITM_MAX_N.
     """
-    with _run(instance, ledger, ENCODING_SPLIT_SUM, "meet-in-the-middle", max_n) as ledger:
+    with _run(instance, ledger, ENCODING_SPLIT_SUM, "meet-in-the-middle", MITM_MAX_N) as ledger:
         target = instance.target
         split = front_size(instance.n)
         front, back = instance.elements[:split], instance.elements[split:]
@@ -253,20 +252,20 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None,
         return _result(instance, ledger, solution)
 
 
-def dp_solve(instance: Instance, *, max_range: int = DP_MAX_RANGE) -> int | None:
+def dp_solve(instance: Instance) -> int | None:
     """Reachability table over the sum range; returns a mask or None.
 
     Negative elements are handled by offsetting sums by the most negative
     reachable total. Kept uninstrumented on purpose: it exists to cross-check
-    the enumerating solvers on small-magnitude instances, through a code
-    path that shares nothing with them.
+    the enumerating solvers on small-magnitude instances, through a code path
+    that shares nothing with them. Refused past a sum range of DP_MAX_RANGE.
     """
     elements = instance.elements
     min_sum = sum(a for a in elements if a < 0)
     max_sum = sum(a for a in elements if a > 0)
-    if max_sum - min_sum > max_range:
+    if max_sum - min_sum > DP_MAX_RANGE:
         raise CapExceededError(
-            f"sum range {max_sum - min_sum} exceeds the DP cap {max_range}")
+            f"sum range {max_sum - min_sum} exceeds the DP cap {DP_MAX_RANGE}")
     target = instance.target
     if target < min_sum or target > max_sum:
         return None

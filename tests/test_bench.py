@@ -39,6 +39,14 @@ def test_fit_rejects_nonpositive_counts():
         fit_growth([(1, 2), (2, 0), (3, 8), (4, 16)])
 
 
+def test_fit_refuses_n_past_the_int_str_limit():
+    # 10**5000 has more digits than CPython will convert to str by default;
+    # the message names its size instead of failing to quote it.
+    with pytest.raises(ValueError, match=r"^n=<int of 16610 bits> is too large "
+                       r"to fit as a float$"):
+        fit_growth([(10 ** 5000 + k, 2) for k in range(4)])
+
+
 def test_mitm_powers2_forced_columns(tmp_path):
     records = run_scaling_experiment("mitm", "powers2", 16, 24, 2, 1, 0)
     assert [r.n for r in records] == [16, 18, 20, 22, 24]
@@ -185,6 +193,18 @@ def test_huge_grid_decided_before_any_row(capsys, monkeypatch):
     records = run_scaling_experiment("mitm", "random", 5, 10 ** 4000, 10 ** 20, 1, 0)
     assert [r.n for r in records] == [5]
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_skip_warning_bounds_an_end_past_the_int_str_limit(capsys):
+    # The grid's last point, 5 + k * 10**20 <= 10**5000, has 5000 digits.
+    records = run_scaling_experiment("mitm", "random", 5, 10 ** 5000, 10 ** 20, 1, 0)
+    assert [r.n for r in records] == [5]
+    assert capsys.readouterr().err == (
+        f"warning: skipping n={5 + 10 ** 20}..<int of 16610 bits>: "
+        f"mitm is capped at n={MITM_MAX_N}\n")
+    with pytest.raises(ValueError, match=r"^need 0 <= n_min <= n_max, got "
+                       r"n_min=<int of 16613 bits>, n_max=<int of 16610 bits>$"):
+        run_scaling_experiment("mitm", "random", 10 ** 5001, 10 ** 5000, 1, 1, 0)
 
 
 def test_planted_step_gap_refused(capsys):

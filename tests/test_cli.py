@@ -800,6 +800,19 @@ def test_readme_library_example_as_a_subprocess(tmp_path):
     assert proc.stdout.splitlines() == shown == ["0x14 8 88"]
 
 
+def test_readme_cap_figures_match_the_constants():
+    from subsum.ledger import FULL_TRACE_MAX_N
+    from subsum.solvers import BRUTE_FORCE_MAX_N, DP_MAX_RANGE, MITM_MAX_N
+    src = os.path.dirname(os.path.dirname(subsum.__file__))
+    with open(os.path.join(os.path.dirname(src), "README.md"), encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    digits = len(str(DP_MAX_RANGE)) - 1
+    assert DP_MAX_RANGE == 10 ** digits  # README writes it as a power of ten
+    assert (f"brute `n <= {BRUTE_FORCE_MAX_N}`, mitm `n <= {MITM_MAX_N}`, "
+            f"traces `n <= {FULL_TRACE_MAX_N}`, dp sum range `10^{digits}`") in text
+    assert f"(brute {BRUTE_FORCE_MAX_N}, mitm {MITM_MAX_N})" in text
+
+
 @pytest.mark.parametrize("command", ["solve", "check"])
 def test_deeply_nested_instance_exits_2(tmp_path, capsys, command):
     # Exit 1 would read as "no solution" or NOMATCH.

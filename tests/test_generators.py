@@ -166,6 +166,15 @@ def test_generator_spec_validation():
         GeneratorSpec("planted", 4, planted_size=5)
 
 
+def test_planted_size_refusal_names_an_n_past_the_int_str_limit():
+    # 10**5000 has more digits than CPython will convert to str by default.
+    message = r"^planted_size must be in \[0, <int of 16610 bits>\]$"
+    with pytest.raises(ValueError, match=message):
+        GeneratorSpec("planted", 10 ** 5000, planted_size=10 ** 5001)
+    with pytest.raises(ValueError, match=message):
+        gen_planted(10 ** 5000, 0, -1)
+
+
 def test_generate_powers2_meta():
     instance, meta = generate(GeneratorSpec("powers2", 6))
     assert instance == gen_powers_of_two(6)

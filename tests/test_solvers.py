@@ -23,7 +23,8 @@ from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
                     solution_witness_check, subset_sum, verify)
 from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET, sort_charge
 from subsum.model import all_subset_sums, sorted_subset_sums
-from subsum.solvers import BRUTE_BLOCK_BITS, MITM_MAX_N, _lowest_mask
+from subsum.solvers import (BRUTE_BLOCK_BITS, BRUTE_FORCE_MAX_N, DP_MAX_RANGE, MITM_MAX_N,
+                            _lowest_mask)
 
 
 @st.composite
@@ -72,13 +73,19 @@ def test_brute_ascending_order_and_events():
 
 
 def test_brute_cap_refusal():
-    inst = Instance((0,) * 31, 1)
-    with pytest.raises(CapExceededError, match="30"):
+    # At the cap a solve runs: target 0 hits the first mask.
+    assert brute_force_solve(Instance((0,) * BRUTE_FORCE_MAX_N, 0)).solution == 0
+    inst = Instance((0,) * (BRUTE_FORCE_MAX_N + 1), 0)
+    with pytest.raises(CapExceededError, match="^brute force is capped at n=30, got n=31$"):
         brute_force_solve(inst)
-    small = Instance((1, 2, 3, 4, 5), 40)
-    with pytest.raises(CapExceededError, match="4"):
-        brute_force_solve(small, max_n=4)
-    assert brute_force_solve(small, max_n=5).solution is None  # max sum is 15
+    # The caps are fixed: no solver takes a per-call override.
+    small = Instance((1, 2, 3), 4)
+    with pytest.raises(TypeError):
+        brute_force_solve(small, max_n=40)
+    with pytest.raises(TypeError):
+        mitm_solve(small, max_n=60)
+    with pytest.raises(TypeError):
+        dp_solve(small, max_range=10 ** 8)
 
 
 def test_full_trace_cap_refusal():
@@ -474,9 +481,12 @@ def test_dp_empty_instance():
 
 
 def test_dp_range_cap_refusal():
-    with pytest.raises(CapExceededError, match="cap"):
-        dp_solve(Instance((10 ** 8, 1), 5))
-    assert dp_solve(Instance((10 ** 8, 1), 5), max_range=2 * 10 ** 8) is None
+    # A sum range of exactly DP_MAX_RANGE runs; one past it is refused.
+    assert dp_solve(Instance((-1, DP_MAX_RANGE - 1), DP_MAX_RANGE - 2)) == 0b11
+    assert dp_solve(Instance((-1, DP_MAX_RANGE - 1), 5)) is None
+    with pytest.raises(CapExceededError,
+                       match=f"^sum range {DP_MAX_RANGE + 1} exceeds the DP cap {DP_MAX_RANGE}$"):
+        dp_solve(Instance((-1, DP_MAX_RANGE), 5))
 
 
 # -- cross-solver properties -----------------------------------------------
