@@ -65,7 +65,8 @@ def fit_growth(points) -> GrowthFit:
     xs = []
     for n, count in points:
         if count <= 0:
-            raise ValueError(f"count must be positive to fit log growth, got {count} at n={n}")
+            raise ValueError(f"count must be positive to fit log growth, "
+                             f"got {_quote(count)} at n={_quote(n)}")
         try:  # not exit 1 from the CLI, which reads as a tradeoff violation
             xs.append(float(n))
         except OverflowError:
@@ -152,7 +153,7 @@ def write_records_csv(records, path) -> None:
 def _parse_count(text: str, what: str) -> int:
     value = _parse_decimal(text, what)
     if value < 0:
-        raise ValueError(f"{what} must be nonnegative, got {value}")
+        raise ValueError(f"{what} must be nonnegative, got {_quote(value)}")
     return value
 
 
@@ -184,9 +185,9 @@ def read_records_csv(path) -> list[ExperimentRecord]:
                                            for i in _INT_COLUMNS]
                 cap = _N_CAPS.get(row[2])
                 if cap is not None and n > cap:
-                    raise ValueError(f"n={n} is past {row[2]}'s cap of n={cap}")
+                    raise ValueError(f"n={_quote(n)} is past {row[2]}'s cap of n={cap}")
                 if seed >> 64:
-                    raise ValueError(f"seed must be below 2^64, got {seed}")
+                    raise ValueError(f"seed must be below 2^64, got {_quote(seed)}")
                 if m < 1:
                     raise ValueError(f"M must be at least 1, got {m}")
             except ValueError as exc:

@@ -21,7 +21,7 @@ from .generators import FAMILIES, GeneratorSpec, dumps_meta, generate
 from .ledger import (FULL_TRACE_MAX_N, ComparisonLedger, dump_trace,
                      tradeoff_report)
 from .model import (_DECIMAL_RE, InstanceFormatError, _parse_decimal, _quote,
-                    _write_text, read_instance, subset_sum, verify, write_instance)
+                    _write_text, read_instance, subset_sum, write_instance)
 from .solvers import CapExceededError, brute_force_solve, dp_solve, mitm_solve
 
 SOLVE_ALGOS = ("brute", "mitm", "dp")
@@ -33,9 +33,13 @@ class CliError(Exception):
 
 
 def meta_path_for(out_path: str) -> str:
-    if out_path.endswith(".json"):
-        return out_path[: -len(".json")] + ".meta.json"
-    return out_path + ".meta.json"
+    return out_path.removesuffix(".json") + ".meta.json"
+
+
+def _same_file(path: str, other: str) -> bool:
+    """Whether two paths name one file: through a symlink, dangling too, or a hard link."""
+    return os.path.realpath(path) == os.path.realpath(other) or (
+        os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other))
 
 
 def _parse_int(value: str) -> int:
@@ -89,6 +93,8 @@ def cmd_gen(args) -> int:
     spec = GeneratorSpec(family=args.family, n=args.n, seed=args.seed,
                          planted_size=args.size)
     meta_path = meta_path_for(args.out)
+    if _same_file(args.out, meta_path):  # the sidecar would replace the instance
+        raise CliError(f"--out {args.out} is its sidecar {meta_path}")
 
     def write(generated):
         instance, meta = generated
@@ -123,7 +129,7 @@ def cmd_solve(args) -> int:
         solver = brute_force_solve if args.algo == "brute" else mitm_solve
         if args.trace:
             # Writing the trace would replace the instance it was read from.
-            if os.path.exists(args.trace) and os.path.samefile(args.in_path, args.trace):
+            if _same_file(args.in_path, args.trace):
                 raise CliError(f"--trace {args.trace} is the --in file")
             solution = _produce([args.trace], lambda: solver(instance, ledger).solution,
                                 lambda _: _write_text(args.trace, *ledger.trace))
@@ -182,11 +188,9 @@ def cmd_check(args) -> int:
         raise CliError(f"mask must be hexadecimal, got {_quote(args.mask)}")
     mask = int(args.mask, 16)
     total = subset_sum(instance, mask)
-    if verify(instance, mask):
-        print(f"MATCH {mask:x} {total}")
-        return 0
-    print(f"NOMATCH {mask:x} {total}")
-    return 1
+    match = total == instance.target
+    print(f"{'MATCH' if match else 'NOMATCH'} {mask:x} {total}")
+    return 0 if match else 1
 
 
 @functools.cache

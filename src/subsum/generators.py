@@ -12,9 +12,9 @@ Three families:
     probabilistically and flagged in the metadata sidecar. The check
     enumerates about 2 * 3^(n/2) signed half sums (see
     has_distinct_subset_sums), not the 2^n subset sums.
-  * planted: elements as in the random family, target defined as the sum
-    of a uniformly chosen subset of a given size, so a solution is
-    guaranteed and returned alongside the instance.
+  * planted: target defined as the sum of a uniformly chosen subset of a
+    given size, so a solution is guaranteed and returned with the instance.
+    Elements follow the random family's rule, not its draws (see gen_planted).
 
 Same spec in, byte-identical files out: all randomness comes from the
 pinned stream in subsum.rng.
@@ -23,19 +23,15 @@ pinned stream in subsum.rng.
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .model import (Instance, InstanceFormatError, _int_text, _quote, loads_object,
-                    subset_sum)
+from .model import Instance, _int_text, subset_sum
 from .rng import SplitMix64
 
 FAMILY_POWERS2 = "powers2"
 FAMILY_RANDOM = "random"
 FAMILY_PLANTED = "planted"
 FAMILIES = (FAMILY_POWERS2, FAMILY_RANDOM, FAMILY_PLANTED)
-
-_HEX_RE = re.compile(r"[0-9a-f]+")
 
 # Verifying that all 2^n subset sums are distinct costs about 2 * 3^(n/2)
 # time and memory: 0.12 M sums at n = 20, 1.1 M at n = 24.
@@ -133,9 +129,10 @@ def gen_random_wide(n: int, seed: int) -> Instance:
 def gen_planted(n: int, seed: int, planted_size: int | None = None) -> tuple[Instance, int]:
     """Instance whose target is the sum of a random subset of the given size.
 
-    The size defaults to n // 2. Elements are drawn exactly like the random
-    family (including the distinctness retry); the subset is a uniform
-    size-k index set chosen by partial Fisher-Yates over the same stream.
+    The size defaults to n // 2. Elements follow the random family's rule and
+    retry, but an attempt draws no target, so after a retry a seed's elements
+    differ from gen_random_wide's. The subset is a uniform size-k index set
+    chosen by partial Fisher-Yates over the same stream.
     Returns the instance and the planted mask, which always verifies.
     """
     if planted_size is None:
@@ -176,32 +173,7 @@ def generate(spec: GeneratorSpec) -> tuple[Instance, InstanceMeta]:
 
 
 def dumps_meta(meta: InstanceMeta) -> str:
-    doc = {
-        "family": meta.family,
-        "seed": meta.seed,
-        "distinct_verified": meta.distinct_verified,
-        "planted_mask": f"{meta.planted_mask:x}" if meta.planted_mask is not None else None,
-    }
+    mask = meta.planted_mask  # README's four keys, in field order; the mask in hex
+    doc = dict(asdict(meta), planted_mask=None if mask is None else f"{mask:x}")
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
-
-def loads_meta(text: str) -> InstanceMeta:
-    """Parse a sidecar as dumps_meta writes it, rejecting anything else."""
-    doc = loads_object(text, ("family", "seed", "distinct_verified", "planted_mask"),
-                       "metadata")
-    family, seed = doc["family"], doc["seed"]
-    verified, mask = doc["distinct_verified"], doc["planted_mask"]
-    if family not in FAMILIES:
-        raise InstanceFormatError(f"family must be one of {FAMILIES}, got {_quote(family)}")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)
-                             or not 0 <= seed < (1 << 64)):
-        raise InstanceFormatError(
-            f"seed must be null or an integer in [0, 2^64), got {_quote(seed)}")
-    if not isinstance(verified, bool):
-        raise InstanceFormatError(f"distinct_verified must be a boolean, got {_quote(verified)}")
-    # int(mask, 16) would also take "0x1f", " 1_f " and "-1".
-    if mask is not None and not (isinstance(mask, str) and _HEX_RE.fullmatch(mask)):
-        raise InstanceFormatError(
-            f"planted_mask must be null or a lowercase hex string, got {_quote(mask)}")
-    return InstanceMeta(family, seed, verified,
-                        int(mask, 16) if mask is not None else None)

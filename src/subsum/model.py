@@ -53,7 +53,7 @@ def check_mask(instance: Instance, mask: int) -> None:
     if not isinstance(mask, int) or isinstance(mask, bool):
         raise TypeError(f"mask {mask!r} is not an int")
     if mask < 0 or mask >> instance.n:
-        raise ValueError(f"mask {mask:#x} out of range for n={instance.n}")
+        raise ValueError(f"mask {_clip(f'{mask:#x}')} out of range for n={instance.n}")
 
 
 def mask_indices(mask: int):
@@ -119,10 +119,14 @@ def _int_text(value: int) -> str:
         return f"<int of {value.bit_length()} bits>"
 
 
-def _quote(value) -> str:
-    """repr(value) for an error message; past 100 characters, a prefix and its length."""
-    text = _int_text(value) if isinstance(value, int) else repr(value)
+def _clip(text: str) -> str:
+    """text for an error message; past 100 characters, a prefix and its length."""
     return text if len(text) <= 100 else f"{text[:60]}... ({len(text)} characters)"
+
+
+def _quote(value) -> str:
+    """repr(value), or an int's _int_text, for an error message, clipped."""
+    return _clip(_int_text(value) if isinstance(value, int) else repr(value))
 
 
 def _parse_decimal(s, what: str) -> int:
@@ -148,8 +152,8 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
-def loads_object(text: str, keys, what: str) -> dict:
-    """Parse a JSON object that holds at least the given keys, each once."""
+def loads_instance(text: str) -> Instance:
+    """Parse the canonical instance document, rejecting malformed input."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -157,16 +161,10 @@ def loads_object(text: str, keys, what: str) -> dict:
     except RecursionError:  # not exit 1, which reads as a negative answer
         raise InstanceFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
-        raise InstanceFormatError(f"{what} document must be a JSON object")
-    missing = set(keys) - doc.keys()
+        raise InstanceFormatError("instance document must be a JSON object")
+    missing = {"n", "a", "b"} - doc.keys()
     if missing:
         raise InstanceFormatError(f"missing keys: {sorted(missing)}")
-    return doc
-
-
-def loads_instance(text: str) -> Instance:
-    """Parse the canonical instance document, rejecting malformed input."""
-    doc = loads_object(text, ("n", "a", "b"), "instance")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InstanceFormatError(f"n must be a nonnegative integer, got {_quote(n)}")
@@ -174,7 +172,7 @@ def loads_instance(text: str) -> Instance:
         raise InstanceFormatError("a must be a list of decimal strings")
     elements = tuple(_parse_decimal(s, "element") for s in doc["a"])
     if len(elements) != n:
-        raise InstanceFormatError(f"n={n} but {len(elements)} elements given")
+        raise InstanceFormatError(f"n={_quote(n)} but {len(elements)} elements given")
     target = _parse_decimal(doc["b"], "target")
     return Instance(elements, target)
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
                      FULL_TRACE_MAX_N, ComparisonLedger, _gc_paused, front_size)
-from .model import Instance, all_subset_sums, sorted_subset_sums, verify
+from .model import Instance, _quote, all_subset_sums, sorted_subset_sums, verify
 
 BRUTE_FORCE_MAX_N = 30
 MITM_MAX_N = 50
@@ -265,7 +265,7 @@ def dp_solve(instance: Instance) -> int | None:
     max_sum = sum(a for a in elements if a > 0)
     if max_sum - min_sum > DP_MAX_RANGE:
         raise CapExceededError(
-            f"sum range {max_sum - min_sum} exceeds the DP cap {DP_MAX_RANGE}")
+            f"sum range {_quote(max_sum - min_sum)} exceeds the DP cap {DP_MAX_RANGE}")
     target = instance.target
     if target < min_sum or target > max_sum:
         return None

@@ -13,8 +13,8 @@ import pytest
 
 import subsum
 from subsum import (ComparisonLedger, GeneratorSpec, Instance,
-                    brute_force_solve, dump_trace, gen_powers_of_two, generate,
-                    mitm_solve, parse_trace, read_instance,
+                    brute_force_solve, dump_trace, dumps_instance,
+                    gen_powers_of_two, generate, mitm_solve, parse_trace, read_instance,
                     run_scaling_experiment, solution_witness_check, verify,
                     write_instance, write_records_csv)
 from subsum.cli import build_parser, main, meta_path_for
@@ -454,6 +454,28 @@ def test_solve_trace_onto_its_own_input_refused(tmp_path, capsys, monkeypatch):
     assert run_cli("solve", "--in", str(path), "--algo", "mitm") == 0
 
 
+@pytest.mark.parametrize("kind", ["dangling_symlink", "symlink", "hard_link"])
+def test_gen_onto_its_own_sidecar_refused(tmp_path, capsys, monkeypatch, kind):
+    # Writing the sidecar would replace the instance, leaving an unreadable file.
+    calls = []
+    monkeypatch.setattr(subsum.cli, "generate", _counting(subsum.cli.generate, calls))
+    path, sidecar = tmp_path / "x.json", tmp_path / "x.meta.json"
+    if kind == "dangling_symlink":
+        os.symlink("x.json", sidecar)
+    else:
+        path.write_bytes(b"old instance\n")
+        (os.symlink if kind == "symlink" else os.link)(path, sidecar)
+    assert run_cli("gen", "--family", "planted", "--n", "6", "--seed", "1",
+                   "--out", str(path)) == 2
+    assert capsys.readouterr() == ("", f"error: --out {path} is its sidecar {sidecar}\n")
+    assert calls == []
+    assert os.path.islink(sidecar) == (kind != "hard_link")
+    if kind == "dangling_symlink":
+        assert os.listdir(tmp_path) == ["x.meta.json"]
+    else:
+        assert path.read_bytes() == sidecar.read_bytes() == b"old instance\n"
+
+
 def test_solve_trace_refused_for_dp(tmp_path, capsys):
     path = tmp_path / "i.json"
     write_instance(Instance((1, 2), 3), path)
@@ -499,6 +521,19 @@ def test_check_match_and_mismatch(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "NOMATCH 3 37"
     assert run_cli("check", "--in", str(path), "--mask", "1F") == 1
     assert capsys.readouterr().out.strip() == "NOMATCH 1f 58"
+
+
+def test_check_sums_the_mask_once(tmp_path, capsys, monkeypatch):
+    walks = []
+    monkeypatch.setattr(subsum.model, "mask_indices",
+                        _counting(subsum.model.mask_indices, walks))
+    path = tmp_path / "i.json"
+    write_instance(Instance((3, 34, 4, 12, 5, 2), 9), path)
+    for mask, code, line in (("14", 0, "MATCH 14 9"), ("3", 1, "NOMATCH 3 37")):
+        walks.clear()
+        assert run_cli("check", "--in", str(path), "--mask", mask) == code
+        assert capsys.readouterr().out == line + "\n"
+        assert walks == [(int(mask, 16),)]
 
 
 def test_check_invalid_mask(tmp_path, capsys):
@@ -764,23 +799,30 @@ def test_parser_built_once_and_reused(tmp_path, capsys):
 
 
 def test_readme_cli_example_as_a_subprocess(tmp_path):
+    # README's gen/solve/check example, over the range CI's installed-script
+    # step reads: each solve/check stdout must equal README's "# " lines.
     src = os.path.dirname(os.path.dirname(subsum.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-
-    def subsum_cli(*argv):
-        proc = subprocess.run([sys.executable, "-m", "subsum", *argv], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=60)
-        return proc.returncode, proc.stdout.splitlines()
-
-    assert subsum_cli("gen", "--family", "powers2", "--n", "10", "--out", "w10.json")[0] == 0
-    assert subsum_cli("solve", "--in", "w10.json", "--algo", "brute") == (
-        1, ["NOSOLUTION", "C=1024 M=1 T=2048"])
-    assert subsum_cli("gen", "--family", "planted", "--n", "16", "--seed", "3",
-                      "--size", "5", "--out", "p.json")[0] == 0
-    assert subsum_cli("solve", "--in", "p.json", "--algo", "mitm") == (
-        0, ["SOLUTION 465 14361638014", "C=364 M=256 T=5484"])
-    assert subsum_cli("check", "--in", "p.json", "--mask", "465") == (
-        0, ["MATCH 465 14361638014"])
+    with open(os.path.join(os.path.dirname(src), "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("\nsubsum gen --family powers2") + 1
+    lines = text[start:text.index("\n", text.index("\n# MATCH", start) + 1)].splitlines()
+    shown = [line[2:] for line in lines if line.startswith("# ")]
+    printed = []
+    for line in lines:
+        if not line.startswith("subsum "):
+            continue
+        proc = subprocess.run([sys.executable, "-m", "subsum", *line.split()[1:]],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stderr == "", line
+        out = proc.stdout.splitlines()
+        if line.startswith("subsum gen "):
+            assert proc.returncode == 0, line
+        else:  # exit 1 is a negative answer
+            negative = out[0] in ("NOSOLUTION", "NOMATCH")
+            assert proc.returncode == (1 if negative else 0), line
+            printed += out
+    assert shown and printed == shown
 
 
 def test_readme_library_example_as_a_subprocess(tmp_path):
@@ -878,4 +920,54 @@ def test_error_quotes_a_long_offender_bounded(tmp_path, capsys, monkeypatch, tex
     message = capsys.readouterr().err.splitlines()[-1]
     assert names in message
     assert re.search(r"\.\.\. \(10000[24] characters\)", message)  # the repr's length
+    assert len(message) < 1000, len(message)
+
+
+_HUGE = 10 ** 4000  # 4,001 digits, within CPython's int-to-str digit limit
+
+
+def _cli_error(text, *argv):
+    """The error line of a CLI run on the file f holding text, which must exit 2."""
+    def run(capsys):
+        with open("f", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert run_cli(*argv) == 2
+        return capsys.readouterr().err.splitlines()[-1]
+    return run
+
+
+def _witness_error(capsys):
+    with pytest.raises(subsum.TraceError) as exc:
+        solution_witness_check([subsum.CompareEvent(3, 3, subsum.Ordering.EQ),
+                                subsum.EmitEvent(1 << 400_000)], Instance((1, 2), 3))
+    return str(exc.value)
+
+
+_SOLVE_F = ("solve", "--in", "f", "--algo")
+
+
+@pytest.mark.parametrize("run, names, length", [
+    (_cli_error(dumps_instance(Instance((1, 2), 3)), "check", "--in", "f",
+                "--mask", "f" * 100_000), "error: mask 0xffff", 100_002),
+    (_witness_error, "emitted mask invalid: mask 0x1000", 100_003),
+    (_cli_error(json.dumps({"n": _HUGE, "a": [], "b": "0"}), *_SOLVE_F, "brute"),
+     "error: n=1000", 4001),
+    (_cli_error(dumps_instance(Instance((_HUGE,), 0)), *_SOLVE_F, "dp"),
+     "error: sum range 1000", 4001),
+    (_cli_error(_CSV_HEAD + "".join(f"{_HUGE + k},y,x,0,0,{k},2,8,0.000100\n"
+                                    for k in range(4)), "report", "--csv", "f"),
+     "error: count must be positive to fit log growth, got 0 at n=1000", 4001),
+    (_cli_error(_CSV_HEAD + f"{_HUGE},y,brute,0,0,4,2,8,0.000100\n", "report", "--csv", "f"),
+     "line 2: n=1000", 4001),
+    (_cli_error(_CSV_HEAD + f"4,y,x,{_HUGE},0,4,2,8,0.000100\n", "report", "--csv", "f"),
+     "line 2: seed must be below 2^64, got 1000", 4001),
+    (_cli_error(_CSV_HEAD + f"4,y,x,0,0,-{_HUGE},2,8,0.000100\n", "report", "--csv", "f"),
+     "line 2: C must be nonnegative, got -1000", 4002),
+], ids=["check_mask", "witness_mask", "instance_n_count", "dp_range", "fit_count",
+        "csv_n_cap", "csv_seed", "csv_negative"])
+def test_error_quotes_a_long_integer_bounded(tmp_path, capsys, monkeypatch, run, names, length):
+    monkeypatch.chdir(tmp_path)
+    message = run(capsys)
+    assert names in message
+    assert f"... ({length} characters)" in message  # the integer's length
     assert len(message) < 1000, len(message)

@@ -2,16 +2,17 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from subsum import (GeneratorSpec, InstanceFormatError, brute_force_solve,
-                    dumps_instance, gen_planted, gen_powers_of_two,
-                    gen_random_wide, generate, mitm_solve, verify)
-from subsum.generators import dumps_meta, has_distinct_subset_sums, loads_meta
+from subsum import (GeneratorSpec, brute_force_solve, dumps_instance,
+                    gen_planted, gen_powers_of_two, gen_random_wide, generate,
+                    mitm_solve, verify)
+from subsum.generators import dumps_meta, has_distinct_subset_sums
 from subsum.model import all_subset_sums
 
 
@@ -142,6 +143,14 @@ def test_planted_deterministic():
     assert gen_planted(12, 5, 4) == gen_planted(12, 5, 4)
 
 
+def test_planted_shares_the_random_draw_rule_not_its_elements():
+    # A random attempt also draws its target, so the streams part at the
+    # first distinctness redraw: seed 27 redraws at n = 2, seed 0 does not.
+    assert gen_planted(2, 0)[0].elements == gen_random_wide(2, 0).elements == (16, 5)
+    assert gen_planted(2, 27)[0].elements == (4, 3)
+    assert gen_random_wide(2, 27).elements == (3, 15)
+
+
 @pytest.mark.parametrize("n", [0, 1, 7, 12])
 def test_planted_size_defaults_to_half_n(n):
     assert gen_planted(n, 9) == gen_planted(n, 9, n // 2)
@@ -198,59 +207,25 @@ def test_generate_flags_unverified_distinctness():
     assert meta.distinct_verified
 
 
-def test_meta_round_trip():
-    for _, meta in (generate(GeneratorSpec("planted", 8, seed=1)),
-                    generate(GeneratorSpec("powers2", 8)),
-                    generate(GeneratorSpec("random", 8, seed=2))):
-        assert loads_meta(dumps_meta(meta)) == meta
+def test_meta_document_has_readme_fields():
+    # README's sidecar: {"family":...,"seed":<int|null>,"distinct_verified":
+    # <bool>,"planted_mask":"<hex>"|null}. subsum writes it and never reads it.
+    for spec in (GeneratorSpec("powers2", 8), GeneratorSpec("random", 8, seed=2),
+                 GeneratorSpec("planted", 8, seed=1)):
+        instance, meta = generate(spec)
+        doc = json.loads(dumps_meta(meta))
+        assert list(doc) == ["family", "seed", "distinct_verified", "planted_mask"]
+        assert doc["family"] == spec.family
+        assert doc["seed"] == (None if spec.family == "powers2" else spec.seed)
+        assert doc["distinct_verified"] is True
+        if spec.family == "planted":
+            assert re.fullmatch("[0-9a-f]+", doc["planted_mask"])
+            assert verify(instance, int(doc["planted_mask"], 16))
+        else:
+            assert doc["planted_mask"] is None
 
 
 def test_meta_canonical_text():
     _, meta = generate(GeneratorSpec("powers2", 4))
     assert dumps_meta(meta) == ('{"family":"powers2","seed":null,'
                                 '"distinct_verified":true,"planted_mask":null}\n')
-
-
-_META_DOC = {"family": "planted", "seed": 1, "distinct_verified": True,
-             "planted_mask": "1f"}
-
-
-@pytest.mark.parametrize("text, field", [
-    ("{", "JSON"),
-    ("[]", "object"),
-    ('"planted"', "object"),
-    ('{"family":"planted","seed":1,"seed":2,"distinct_verified":true,'
-     '"planted_mask":"1f"}', "duplicate key 'seed'"),
-] + [(json.dumps({k: v for k, v in _META_DOC.items() if k != key}), key)
-     for key in _META_DOC])
-def test_loads_meta_refuses_malformed_documents(text, field):
-    with pytest.raises(InstanceFormatError, match=field):
-        loads_meta(text)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("family", "uniform"), ("family", None), ("family", ["planted"]),
-    ("seed", -1), ("seed", 1 << 64), ("seed", "1"), ("seed", 1.0), ("seed", True),
-    ("distinct_verified", 1), ("distinct_verified", "true"), ("distinct_verified", None),
-    ("planted_mask", " 1_f "), ("planted_mask", "0x1f"), ("planted_mask", "-1"),
-    ("planted_mask", "1F"), ("planted_mask", ""), ("planted_mask", 31),
-])
-def test_loads_meta_refuses_bad_fields(field, value):
-    # Only the forms dumps_meta writes are read back.
-    assert loads_meta(json.dumps(_META_DOC)).planted_mask == 31
-    doc = dict(_META_DOC, **{field: value})
-    with pytest.raises(InstanceFormatError, match=field):
-        loads_meta(json.dumps(doc))
-
-
-def test_loads_meta_refuses_deeply_nested_json():
-    # json.loads raises RecursionError, which is not a format error.
-    with pytest.raises(InstanceFormatError, match="nested too deeply"):
-        loads_meta('{"family":' + "[" * 100_000 + "]" * 100_000 + "}")
-
-
-@pytest.mark.parametrize("field", ["family", "seed", "distinct_verified", "planted_mask"])
-def test_loads_meta_quotes_a_long_field_bounded(field):
-    with pytest.raises(InstanceFormatError, match=field) as exc:
-        loads_meta(json.dumps(dict(_META_DOC, **{field: "z" * 100_000})))
-    assert len(str(exc.value)) < 1000
