@@ -4,21 +4,22 @@ Library surface:
 
   * model: Instance, subset_sum, verify, canonical instance file I/O
   * ledger: ComparisonLedger (C/M/T counters), trace events and dumps,
-    solution_witness_check, tradeoff_report
+    solution_witness_check
   * solvers: brute_force_solve, mitm_solve, half_sums, dp_solve
   * generators: powers2 / random / planted instance families
-  * bench: run_scaling_experiment, growth fitting, CSV records
+  * bench: run_scaling_experiment, growth fitting, CSV records,
+    tradeoff_report
   * cli: the `subsum` command
 """
 
 from .bench import (ExperimentRecord, GrowthFit, fit_growth, group_records,
                     read_records_csv, run_scaling_experiment,
-                    write_records_csv)
+                    tradeoff_report, write_records_csv)
 from .generators import (GeneratorSpec, InstanceMeta, gen_planted,
                          gen_powers_of_two, gen_random_wide, generate)
 from .ledger import (ComparisonLedger, CompareEvent, EmitEvent,
                      Ordering, SortedListEvent, TraceError, dump_trace,
-                     parse_trace, solution_witness_check, tradeoff_report)
+                     parse_trace, solution_witness_check)
 from .model import (Instance, InstanceFormatError, dumps_instance,
                     loads_instance, read_instance, subset_sum, verify,
                     write_instance)

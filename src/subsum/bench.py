@@ -206,3 +206,47 @@ def group_records(records) -> dict[tuple[str, str], list[ExperimentRecord]]:
     for r in records:
         groups.setdefault((r.algo, r.family), []).append(r)
     return groups
+
+
+@dataclass(frozen=True)
+class TradeoffReport:
+    """The rows that break T >= M >= 1 and M*T >= 2^n, as (index, record)."""
+    total: int
+    t_ge_m_violations: list[tuple[int, ExperimentRecord]]
+    mt_violations: list[tuple[int, ExperimentRecord]]
+
+    @property
+    def ok(self) -> bool:
+        return not self.t_ge_m_violations and not self.mt_violations
+
+    def summary(self) -> str:
+        total, t_ge_m, mt = self.total, self.t_ge_m_violations, self.mt_violations
+        return "\n".join([
+            f"T>=M>=1:  {total - len(t_ge_m)}/{total} rows ok",
+            f"M*T>=2^n: {total - len(mt)}/{total} rows ok",
+            *(f"  row {i}: T={_int_text(r.elementary_ops)} "
+              f"M={_int_text(r.peak_sorted_len)} violates T>=M>=1" for i, r in t_ge_m),
+            *(f"  row {i}: M*T={_int_text(r.peak_sorted_len * r.elementary_ops)}"
+              f" < 2^{_int_text(r.n)}" for i, r in mt)])
+
+
+def tradeoff_report(records) -> TradeoffReport:
+    """Check T >= M >= 1 and M*T >= 2^n on each measured record.
+
+    This is an empirical check of the measured counters of our own runs,
+    nothing more. Records need n, peak_sorted_len, and elementary_ops; a
+    row's index counts within the records passed.
+    """
+    records = list(records)
+    if not records:
+        raise ValueError("no records to check")
+    t_ge_m, mt = [], []
+    for i, r in enumerate(records):
+        m, t = r.peak_sorted_len, r.elementary_ops
+        if not t >= m >= 1:
+            t_ge_m.append((i, r))
+        # M*T >= 2^n without building 2^n, which a CSV's n could make
+        # huge, or a shift, which a negative n would make raise.
+        if not (m * t > 0 and (m * t).bit_length() > r.n):
+            mt.append((i, r))
+    return TradeoffReport(len(records), t_ge_m, mt)

@@ -16,10 +16,9 @@ import re
 import sys
 
 from .bench import (BENCH_ALGOS, fit_growth, group_records, read_records_csv,
-                    run_scaling_experiment, write_records_csv)
+                    run_scaling_experiment, tradeoff_report, write_records_csv)
 from .generators import FAMILIES, GeneratorSpec, dumps_meta, generate
-from .ledger import (FULL_TRACE_MAX_N, ComparisonLedger, dump_trace,
-                     tradeoff_report)
+from .ledger import FULL_TRACE_MAX_N, ComparisonLedger, dump_trace
 from .model import (_DECIMAL_RE, InstanceFormatError, _parse_decimal, _quote,
                     _write_text, read_instance, subset_sum, write_instance)
 from .solvers import CapExceededError, brute_force_solve, dp_solve, mitm_solve

@@ -1,4 +1,4 @@
-"""Comparison counting, run traces, and checks over measured runs.
+"""Comparison counting, run traces, and the solution witness check.
 
 Every solver in this package charges its equality-determining comparisons
 to a ComparisonLedger, which holds three counters:
@@ -43,7 +43,6 @@ import math
 import operator
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import compress, count, groupby, repeat
 from typing import NamedTuple
 
@@ -402,70 +401,3 @@ def solution_witness_check(trace, instance: Instance,
         raise TraceError("trace contains more than one emission")
     return at > 0 and _witnesses(events[at - 1], instance, mask, encoding)
 
-
-@dataclass(frozen=True)
-class RowCheck:
-    """Tradeoff constraint outcome for one experiment row."""
-    index: int
-    n: int
-    peak_sorted_len: int
-    elementary_ops: int
-    t_ge_m_ge_1: bool
-    mt_ge_pow2n: bool
-
-
-@dataclass(frozen=True)
-class TradeoffReport:
-    rows: list[RowCheck] = field(default_factory=list)
-
-    @property
-    def t_ge_m_violations(self) -> list[RowCheck]:
-        return [r for r in self.rows if not r.t_ge_m_ge_1]
-
-    @property
-    def mt_violations(self) -> list[RowCheck]:
-        return [r for r in self.rows if not r.mt_ge_pow2n]
-
-    @property
-    def ok(self) -> bool:
-        return not self.t_ge_m_violations and not self.mt_violations
-
-    def summary(self) -> str:
-        total = len(self.rows)
-        lines = [
-            f"T>=M>=1:  {total - len(self.t_ge_m_violations)}/{total} rows ok",
-            f"M*T>=2^n: {total - len(self.mt_violations)}/{total} rows ok",
-        ]
-        for row in self.t_ge_m_violations:
-            lines.append(f"  row {row.index}: T={row.elementary_ops} M={row.peak_sorted_len}"
-                         f" violates T>=M>=1")
-        for row in self.mt_violations:
-            lines.append(f"  row {row.index}: M*T={row.peak_sorted_len * row.elementary_ops}"
-                         f" < 2^{row.n}")
-        return "\n".join(lines)
-
-
-def tradeoff_report(records) -> TradeoffReport:
-    """Check T >= M >= 1 and M*T >= 2^n on each measured record.
-
-    This is an empirical check of the measured counters of our own runs,
-    nothing more. Records need n, peak_sorted_len, and elementary_ops.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no records to check")
-    rows = []
-    for i, rec in enumerate(records):
-        m = rec.peak_sorted_len
-        t = rec.elementary_ops
-        rows.append(RowCheck(
-            index=i,
-            n=rec.n,
-            peak_sorted_len=m,
-            elementary_ops=t,
-            t_ge_m_ge_1=t >= m >= 1,
-            # M*T >= 2^n without building 2^n, which a CSV's n could make
-            # huge, or a shift, which a negative n would make raise.
-            mt_ge_pow2n=m * t > 0 and (m * t).bit_length() > rec.n,
-        ))
-    return TradeoffReport(rows)

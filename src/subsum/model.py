@@ -39,9 +39,9 @@ class Instance:
         object.__setattr__(self, "elements", tuple(self.elements))
         for x in self.elements:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"element {x!r} is not an int")
+                raise TypeError(f"element {_quote(x)} is not an int")
         if not isinstance(self.target, int) or isinstance(self.target, bool):
-            raise TypeError(f"target {self.target!r} is not an int")
+            raise TypeError(f"target {_quote(self.target)} is not an int")
 
     @property
     def n(self) -> int:
@@ -51,7 +51,7 @@ class Instance:
 def check_mask(instance: Instance, mask: int) -> None:
     """Validate that mask is an n-bit index set for this instance."""
     if not isinstance(mask, int) or isinstance(mask, bool):
-        raise TypeError(f"mask {mask!r} is not an int")
+        raise TypeError(f"mask {_quote(mask)} is not an int")
     if mask < 0 or mask >> instance.n:
         raise ValueError(f"mask {_clip(f'{mask:#x}')} out of range for n={instance.n}")
 

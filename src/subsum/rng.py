@@ -24,6 +24,8 @@ Derived draws are defined on top of the raw u64 stream:
 
 from __future__ import annotations
 
+from .model import _quote
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -43,7 +45,7 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {_quote(seed)}")
         self._state = seed
 
     def next_u64(self) -> int:
@@ -63,7 +65,7 @@ class SplitMix64:
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
         if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+            raise ValueError(f"bound must be positive, got {_quote(bound)}")
         k = (bound - 1).bit_length()
         while True:
             value = self.next_bits(k)
@@ -73,7 +75,7 @@ class SplitMix64:
     def next_in_range(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
         if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
+            raise ValueError(f"empty range [{_quote(lo)}, {_quote(hi)}]")
         return lo + self.next_below(hi - lo + 1)
 
 

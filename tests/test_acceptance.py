@@ -173,7 +173,7 @@ def test_ac6_witness_property_on_planted_runs():
 def test_ac7_tradeoff_constraints(brute_powers2_records, mitm_powers2_records):
     records = brute_powers2_records + mitm_powers2_records[0]
     report = tradeoff_report(records)
-    assert len(report.rows) == len(records)
+    assert report.total == len(records)
     assert not report.t_ge_m_violations
     assert not report.mt_violations
     print(f"\n[AC7] PASS T>=M>=1 and M*T>=2^n on all {len(records)} "

@@ -692,6 +692,49 @@ def test_report_mt_shortfall_reported_but_exit_zero(tmp_path, capsys):
     assert "TRADEOFF OK" in out
 
 
+def test_report_full_stdout_and_exit_code(tmp_path, capsys):
+    # Two interleaved groups: row numbers count within a group, not the CSV.
+    path = tmp_path / "two.csv"
+    ok = [(1, 2, 1, 2), (2, 4, 1, 4), (3, 8, 1, 8), (4, 16, 1, 16)]
+    bad = [(4, 16, 5, 4), (5, 32, 2, 16), (6, 64, 2, 10), (7, 128, 4, 32)]
+    rows = ["n,family,algo,seed,trial,C,M,T,wall_time"]
+    for good, broken in zip(ok, bad):
+        rows += ["{},ok,x,0,0,{},{},{},0.000000".format(*good),
+                 "{},bad,x,0,0,{},{},{},0.000000".format(*broken)]
+    path.write_text("\n".join(rows) + "\n")
+    assert run_cli("report", "--csv", str(path)) == 1
+    assert capsys.readouterr().out == (
+        "group algo=x family=bad rows=4 distinct_n=4\n"
+        "  log2(C) vs n: slope=1.0000 intercept=0.0000 rmse=0.0000\n"
+        "  log2(T) vs n: slope=0.8322 intercept=-0.9966 rmse=0.5686\n"
+        "  T>=M>=1:  3/4 rows ok\n"
+        "  M*T>=2^n: 3/4 rows ok\n"
+        "    row 0: T=4 M=5 violates T>=M>=1\n"
+        "    row 2: M*T=20 < 2^6\n"
+        "group algo=x family=ok rows=4 distinct_n=4\n"
+        "  log2(C) vs n: slope=1.0000 intercept=0.0000 rmse=0.0000\n"
+        "  log2(T) vs n: slope=1.0000 intercept=0.0000 rmse=0.0000\n"
+        "  T>=M>=1:  4/4 rows ok\n"
+        "  M*T>=2^n: 4/4 rows ok\n"
+        "TRADEOFF VIOLATION\n")
+
+
+def test_report_names_a_product_past_the_digit_limit(tmp_path, capsys):
+    # M = T = 4,000 nines are in the CSV grammar; M*T has about 8,000 digits.
+    path = tmp_path / "wide.csv"
+    nines = "9" * 4000
+    path.write_text("n,family,algo,seed,trial,C,M,T,wall_time\n" + "".join(
+        f"{100000 + k},y,x,0,0,4,{nines},{nines},0.000000\n"
+        for k in range(4)))
+    assert run_cli("report", "--csv", str(path)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[3:] == [
+        "  T>=M>=1:  4/4 rows ok", "  M*T>=2^n: 0/4 rows ok",
+        *(f"    row {k}: M*T=<int of 26576 bits> < 2^{100000 + k}" for k in range(4)),
+        "TRADEOFF OK"]
+
+
 def test_report_too_few_points(tmp_path, capsys):
     path = tmp_path / "few.csv"
     assert run_cli("bench", "--algo", "mitm", "--family", "powers2",
@@ -840,6 +883,24 @@ def test_readme_library_example_as_a_subprocess(tmp_path):
     # README's "# " line shows what the block prints.
     shown = [line[2:] for line in code.splitlines() if line.startswith("# ")]
     assert proc.stdout.splitlines() == shown == ["0x14 8 88"]
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml promises dependencies = []. Every module but __main__
+    # (which would run the CLI) is imported; -S keeps site-packages' .pth
+    # hooks, which import their own modules, out of sys.modules.
+    src = os.path.dirname(os.path.dirname(subsum.__file__))
+    code = ("import importlib, pkgutil, sys, subsum\n"
+            "for m in pkgutil.iter_modules(subsum.__path__):\n"
+            "    if m.name != '__main__':\n"
+            "        importlib.import_module('subsum.' + m.name)\n"
+            "top = {name.partition('.')[0] for name in sys.modules}\n"
+            "print(sorted(top - set(sys.stdlib_module_names) - {'subsum', '__main__'}))\n"
+            "print('subsum.cli' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\nTrue\n")
 
 
 def test_readme_cap_figures_match_the_constants():

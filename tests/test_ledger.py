@@ -742,32 +742,31 @@ def test_witness_unknown_encoding():
 
 def test_tradeoff_brute_style_row_holds():
     report = tradeoff_report([make_record(10, 1, 1024)])
-    row = report.rows[0]
-    assert row.t_ge_m_ge_1 and row.mt_ge_pow2n
+    assert report.total == 1
+    assert report.t_ge_m_violations == report.mt_violations == []
     assert report.ok
 
 
 def test_tradeoff_split_style_row_holds():
-    report = tradeoff_report([make_record(10, 32, 96)])
-    row = report.rows[0]
-    assert row.t_ge_m_ge_1 and row.mt_ge_pow2n  # 32 * 96 = 3072 >= 1024
+    report = tradeoff_report([make_record(10, 32, 96)])  # 32 * 96 = 3072 >= 1024
+    assert report.total == 1
+    assert report.t_ge_m_violations == report.mt_violations == []
     assert report.ok
 
 
 def test_tradeoff_flags_t_less_than_m():
-    report = tradeoff_report([make_record(4, 5, 4)])
-    row = report.rows[0]
-    assert not row.t_ge_m_ge_1
-    assert report.t_ge_m_violations == [row]
+    record = make_record(4, 5, 4)
+    report = tradeoff_report([record])
+    assert report.t_ge_m_violations == [(0, record)]
     assert not report.ok
     assert "violates" in report.summary()
 
 
 def test_tradeoff_flags_mt_shortfall():
-    report = tradeoff_report([make_record(10, 2, 100)])
-    assert report.rows[0].t_ge_m_ge_1
-    assert not report.rows[0].mt_ge_pow2n
-    assert report.mt_violations
+    record = make_record(10, 2, 100)
+    report = tradeoff_report([record])
+    assert report.t_ge_m_violations == []
+    assert report.mt_violations == [(0, record)]
 
 
 @given(st.integers(-5, 70), st.integers(-3, 1 << 36), st.integers(-3, 1 << 36))
@@ -775,33 +774,36 @@ def test_tradeoff_flags_mt_shortfall():
 @example(10, 31, 33)  # M*T = 2^n - 1
 def test_tradeoff_mt_check_is_exact(n, m, t):
     # 2 ** n is an exact float for these negative n.
-    row = tradeoff_report([make_record(n, m, t)]).rows[0]
-    assert row.mt_ge_pow2n == (m * t >= 2 ** n)
+    report = tradeoff_report([make_record(n, m, t)])
+    assert (not report.mt_violations) == (m * t >= 2 ** n)
 
 
 def test_tradeoff_huge_n_builds_no_power_of_two():
     # n comes from a CSV; 2^(10^12) would take about 125 GB.
+    record = make_record(10 ** 12, 2, 100)
     tracemalloc.start()
     try:
-        report = tradeoff_report([make_record(10 ** 12, 2, 100)])
+        report = tradeoff_report([record])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not report.rows[0].mt_ge_pow2n
+    assert report.mt_violations == [(0, record)]
     assert "M*T=200 < 2^1000000000000" in report.summary()
     assert peak < 64 * 1024
 
 
 def test_tradeoff_negative_n():
     # 2^n < 1 for n < 0, so any positive M*T meets it.
-    report = tradeoff_report([make_record(-1, 1, 1), make_record(-4, 0, 3)])
-    assert [row.mt_ge_pow2n for row in report.rows] == [True, False]
+    records = [make_record(-1, 1, 1), make_record(-4, 0, 3)]
+    report = tradeoff_report(records)
+    assert report.mt_violations == [(1, records[1])]
     assert "M*T=0 < 2^-4" in report.summary()
 
 
 def test_tradeoff_zero_m_violates_floor():
-    report = tradeoff_report([make_record(0, 0, 5)])
-    assert not report.rows[0].t_ge_m_ge_1
+    record = make_record(0, 0, 5)
+    report = tradeoff_report([record])
+    assert report.t_ge_m_violations == [(0, record)]
 
 
 def test_tradeoff_requires_records():

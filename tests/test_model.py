@@ -8,10 +8,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import oracle_matching_masks
-from subsum import (Instance, InstanceFormatError, dumps_instance,
+from subsum import (Instance, InstanceFormatError, SplitMix64, dumps_instance,
                     loads_instance, read_instance, subset_sum, verify,
                     write_instance)
-from subsum.model import all_subset_sums, sorted_subset_sums
+from subsum.model import all_subset_sums, check_mask, sorted_subset_sums
 
 
 def test_subset_sum_empty_mask_is_zero():
@@ -92,6 +92,33 @@ def test_non_int_elements_rejected():
         Instance((1, True), 0)
     with pytest.raises(TypeError):
         Instance((1,), "3")
+
+
+_Z, _M = "'" + "z" * 59, "'" + "m" * 59
+_TEN = "1" + "0" * 59
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Instance(("z" * 100000,), 0), TypeError,
+     f"element {_Z}... (100002 characters) is not an int"),
+    (lambda: Instance((), "z" * 100000), TypeError,
+     f"target {_Z}... (100002 characters) is not an int"),
+    (lambda: check_mask(Instance((1,), 0), "m" * 100000), TypeError,
+     f"mask {_M}... (100002 characters) is not an int"),
+    (lambda: SplitMix64(10 ** 4000), ValueError,
+     f"seed must be a 64-bit unsigned integer, got {_TEN}... (4001 characters)"),
+    (lambda: SplitMix64(10 ** 5000), ValueError,
+     "seed must be a 64-bit unsigned integer, got <int of 16610 bits>"),
+    (lambda: SplitMix64(0).next_in_range(10 ** 4000, 0), ValueError,
+     f"empty range [{_TEN}... (4001 characters), 0]"),
+    (lambda: SplitMix64(0).next_below(-10 ** 4000), ValueError,
+     f"bound must be positive, got -{_TEN[:59]}... (4002 characters)"),
+], ids=["element", "target", "mask", "seed", "seed_past_digit_limit",
+        "empty_range", "bound"])
+def test_library_errors_quote_a_long_value_bounded(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @st.composite
