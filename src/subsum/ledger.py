@@ -9,8 +9,8 @@ to a ComparisonLedger, which holds three counters:
 
 The charging model is fixed so that runs are comparable across machines:
 
-  +1 per comparison, +1 per candidate sum generated, +k per sorted-list
-  build of k entries, +ceil(k * log2(k)) per sort of k entries.
+  +1 per comparison, +1 per candidate sum generated, and +k +
+  ceil(k * log2(k)) per sorted list of k entries, its build and its sort.
 
 A ledger is single-writer: one solver run owns one ledger. A ledger given
 a trace list, as in ComparisonLedger([]), adds each charged comparison,
@@ -26,11 +26,11 @@ or not, and extend a trace with whole runs: record_misses hands it
 brute's misses in one block as a run of just its operands, which a trace
 that renders each run, as `subsum solve --trace` does, writes with no
 CompareEvent built; record_scan replays mitm's whole scan from its two
-lists and its comparison count once the loop is done.
+lists and its comparison count once the loop is done, and charges it.
 
 parse_trace and traced solves pause CPython's cyclic garbage collector and
 then restore its prior state: events are acyclic, so reference counting
-frees them, and a collection pass would only re-traverse every live event.
+frees them; the first collection after the pause still traverses them once.
 Other threads see the collector paused for that time. A counters-only solve
 leaves the collector alone.
 """
@@ -137,7 +137,11 @@ def sort_charge(length: int) -> int:
 
 
 class ComparisonLedger:
-    """Counters for one solver run, plus its events if given a trace list."""
+    """Counters for one solver run, plus its events if given a trace list.
+
+    Recording a sorted list or a scan charges it. record_compare and
+    record_misses only trace: brute charges its whole walk in bulk.
+    """
 
     __slots__ = ("compare_count", "elementary_ops", "peak_sorted_len",
                  "trace", "encoding")
@@ -182,14 +186,18 @@ class ComparisonLedger:
         self.trace.extend(_Misses(lhs, rhs))
 
     def record_scan(self, lo: list[int], hi: list[int], count: int) -> None:
-        """Trace the first count steps of a two-pointer scan; charges nothing.
+        """Charge count scan comparisons to C and T, and trace them as one run.
 
         lo and hi ascend; each step compares lo[i] with hi[j]. LT passes
-        lo[i], GT passes hi[j], and EQ ends the scan. The trace is extended
-        once, with exactly count CompareEvents; a count past the end of the
-        scan raises ValueError, with the trace untouched.
+        lo[i], GT passes hi[j] and EQ ends the scan, so a count above
+        len(lo) + len(hi) - 1 raises RuntimeError, and a count past the end
+        of the scan ValueError; either leaves counters and trace untouched.
         """
+        if count > len(lo) + len(hi) - 1:
+            raise RuntimeError(f"scan made {count} comparisons over lists of "
+                               f"{len(lo)} and {len(hi)} entries")
         if self.trace is None:
+            self.charge_compares(count)
             return
         events, i, j = [], 0, 0
         while len(events) < count and i < len(lo) and j < len(hi):
@@ -204,23 +212,21 @@ class ComparisonLedger:
         if len(events) < count:
             raise ValueError(f"record_scan got {count} steps; the scan has {len(events)}")
         self.trace.extend(events)
+        self.charge_compares(count)
 
     def charge_generated(self, count: int = 1) -> None:
         """Charge unit cost for generating candidate subset sums."""
         self.elementary_ops += count
 
     def record_sorted_list(self, length: int) -> None:
-        """Account for building a sorted list of the given length."""
+        """Charge a sorted list's build and sort: T grows by k + sort_charge(k)."""
         if length < 0:
             raise ValueError("list length must be nonnegative")
         if length > self.peak_sorted_len:
             self.peak_sorted_len = length
-        self.elementary_ops += length
+        self.elementary_ops += length + sort_charge(length)
         if self.trace is not None:
             self.trace.extend((SortedListEvent(length),))
-
-    def charge_sort(self, length: int) -> None:
-        self.elementary_ops += sort_charge(length)
 
     def emit(self, mask: int) -> None:
         """Record that a solution mask was output (trace event only)."""

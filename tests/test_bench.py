@@ -134,6 +134,11 @@ def test_empty_or_negative_grid_refused(n_min, n_max):
         run_scaling_experiment("mitm", "powers2", n_min, n_max, 1, 1, 0)
 
 
+def test_zero_trials_refused():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_scaling_experiment("mitm", "powers2", 4, 6, 1, 0, 0)
+
+
 def test_cap_exceeded_rows_skipped(tmp_path, capsys, monkeypatch):
     import subsum.bench as bench_mod
     monkeypatch.setitem(bench_mod._N_CAPS, "brute", 6)

@@ -652,6 +652,7 @@ def test_bench_row_that_raises_keeps_old_csv(tmp_path, capsys, monkeypatch, exis
     ("planted --n-min 4 --n-max 6 --size -1", "planted_size must be in [0, 6]"),
     ("powers2 --n-min 8 --n-max 4", "n_min"),
     ("powers2 --n-min -1 --n-max 4", "n_min"),
+    ("powers2 --n-min 4 --n-max 6 --trials 0", "trials must be >= 1"),
 ])
 @pytest.mark.parametrize("existing", [None, "old rows\n"])
 def test_bench_refused_grid_writes_no_file(tmp_path, capsys, grid, message, existing):
@@ -784,6 +785,15 @@ def test_report_refuses_rows_no_bench_run_writes(tmp_path, capsys, odd, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"malformed CSV row at line 5: {message}" in captured.err
+
+
+def test_report_header_only_csv_refused(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("n,family,algo,seed,trial,C,M,T,wall_time\n")
+    assert run_cli("report", "--csv", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CSV contains no rows\n"
 
 
 def test_report_missing_csv(tmp_path):

@@ -175,6 +175,14 @@ def test_generator_spec_validation():
         GeneratorSpec("planted", 4, planted_size=5)
 
 
+@pytest.mark.parametrize("gen", [lambda: gen_powers_of_two(-1),
+                                 lambda: gen_random_wide(-1, 0)],
+                         ids=["powers2", "random"])
+def test_negative_n_refused(gen):
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        gen()
+
+
 def test_planted_size_refusal_names_an_n_past_the_int_str_limit():
     # 10**5000 has more digits than CPython will convert to str by default.
     message = r"^planted_size must be in \[0, <int of 16610 bits>\]$"

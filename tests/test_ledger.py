@@ -84,7 +84,16 @@ def test_peak_with_repeats():
 def test_sorted_list_charges_at_least_length():
     led = ComparisonLedger()
     led.record_sorted_list(5)
-    assert led.elementary_ops == 5
+    assert led.elementary_ops == 5 + sort_charge(5) == 17
+
+
+@pytest.mark.parametrize("trace", [None, []], ids=["counters_only", "traced"])
+def test_negative_list_length_refused(trace):
+    led = ComparisonLedger(trace)
+    with pytest.raises(ValueError, match="list length must be nonnegative"):
+        led.record_sorted_list(-1)
+    assert (led.compare_count, led.elementary_ops, led.peak_sorted_len) == (0, 0, 1)
+    assert led.trace == trace
 
 
 def test_sort_charge_values():
@@ -188,14 +197,27 @@ def test_record_scan_replays_the_two_pointer_walk(lo, hi):
         led = ComparisonLedger(SimpleNamespace(extend=runs.append))
         led.record_scan(lo, hi, count)
         assert runs == [walk.trace[:count]]
-        assert (led.compare_count, led.elementary_ops) == (0, 0)
+        assert (led.compare_count, led.elementary_ops) == (count, count)
     led = ComparisonLedger([])
     with pytest.raises(ValueError, match=f"got {steps + 1} steps"):
         led.record_scan(lo, hi, steps + 1)
     assert led.trace == []
+    assert (led.compare_count, led.elementary_ops) == (0, 0)
     plain = ComparisonLedger()
     plain.record_scan(lo, hi, steps + 1)
     assert plain.trace is None
+    assert (plain.compare_count, plain.elementary_ops) == (steps + 1, steps + 1)
+
+
+@pytest.mark.parametrize("trace", [None, []], ids=["counters_only", "traced"])
+def test_record_scan_refuses_a_count_past_a_linear_scan(trace):
+    # Two lists of 2 entries allow at most 2 + 2 - 1 = 3 comparisons.
+    led = ComparisonLedger(trace)
+    with pytest.raises(RuntimeError,
+                       match=r"^scan made 4 comparisons over lists of 2 and 2 entries$"):
+        led.record_scan([1, 2], [5, 7], 4)
+    assert (led.compare_count, led.elementary_ops) == (0, 0)
+    assert led.trace == trace
 
 
 _OPERANDS = st.one_of(st.integers(), st.integers(min_value=1 << 64, max_value=1 << 200),

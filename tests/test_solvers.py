@@ -390,7 +390,6 @@ def reference_mitm(inst):
     led.charge_generated(len(lo) + len(hi))
     for sums in (lo, hi):
         led.record_sorted_list(len(sums))
-        led.charge_sort(len(sums))
     i = j = 0
     solution = None
     while i < len(lo) and j < len(hi):
