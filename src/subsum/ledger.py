@@ -25,8 +25,8 @@ record_compare, record_sorted_list and emit. Solvers run one loop, traced
 or not, and extend a trace with whole runs: record_misses hands it
 brute's misses in one block as a run of just its operands, which a trace
 that renders each run, as `subsum solve --trace` does, writes with no
-CompareEvent built; record_scan replays mitm's whole scan from its two
-lists and its comparison count once the loop is done, and charges it.
+CompareEvent built; scan runs mitm's walk itself, charges the steps it
+took, and replays them from its two lists once the loop is done.
 
 parse_trace and traced solves pause CPython's cyclic garbage collector and
 then restore its prior state: events are acyclic, so reference counting
@@ -139,8 +139,8 @@ def sort_charge(length: int) -> int:
 class ComparisonLedger:
     """Counters for one solver run, plus its events if given a trace list.
 
-    Recording a sorted list or a scan charges it. record_compare and
-    record_misses only trace: brute charges its whole walk in bulk.
+    Recording a sorted list or running a scan charges it. record_compare
+    and record_misses only trace: brute charges its whole walk in bulk.
     """
 
     __slots__ = ("compare_count", "elementary_ops", "peak_sorted_len",
@@ -185,34 +185,58 @@ class ComparisonLedger:
             raise ValueError(f"record_misses got an lhs equal to rhs={rhs}")
         self.trace.extend(_Misses(lhs, rhs))
 
-    def record_scan(self, lo: list[int], hi: list[int], count: int) -> None:
-        """Charge count scan comparisons to C and T, and trace them as one run.
+    def scan(self, lo: list[int], hi: list[int]) -> int | None:
+        """The smallest value common to ascending lo and hi, or None; charges the walk.
 
-        lo and hi ascend; each step compares lo[i] with hi[j]. LT passes
-        lo[i], GT passes hi[j] and EQ ends the scan, so a count above
-        len(lo) + len(hi) - 1 raises RuntimeError, and a count past the end
-        of the scan ValueError; either leaves counters and trace untouched.
+        Each step compares lo[i] with hi[j]: LT passes lo[i], GT passes
+        hi[j] and EQ ends the scan, as does either list running out. The
+        steps taken are charged to C and T, and a tracing ledger replays
+        them from the two lists as one run of CompareEvents.
         """
-        if count > len(lo) + len(hi) - 1:
-            raise RuntimeError(f"scan made {count} comparisons over lists of "
-                               f"{len(lo)} and {len(hi)} entries")
-        if self.trace is None:
-            self.charge_compares(count)
-            return
-        events, i, j = [], 0, 0
-        while len(events) < count and i < len(lo) and j < len(hi):
-            lhs, rhs = lo[i], hi[j]
+        len_lo, len_hi = len(lo), len(hi)
+        if not len_hi:
+            return None
+        j = 0
+        rhs = hi[0]
+        value = None
+        # rhs is the back head hi[j]. Most steps pass a front sum below it, at
+        # one comparison each. The loop keeps no front index: enumerate() made
+        # each step take twice as long. The iterator's length_hint recovers it.
+        walk = iter(lo)
+        for lhs in walk:
             if lhs < rhs:
-                outcome, i = Ordering.LT, i + 1
-            elif rhs < lhs:
-                outcome, j = Ordering.GT, j + 1
-            else:
-                outcome, i = Ordering.EQ, len(lo)  # a hit ends the scan
-            events.append(CompareEvent(lhs, rhs, outcome))
-        if len(events) < count:
-            raise ValueError(f"record_scan got {count} steps; the scan has {len(events)}")
-        self.trace.extend(events)
-        self.charge_compares(count)
+                continue
+            while rhs < lhs:
+                j += 1
+                if j == len_hi:
+                    break
+                rhs = hi[j]
+            if j == len_hi:
+                break  # the back list ran out
+            # lhs <= rhs now: LT moves on to the next front sum, EQ is a hit.
+            if lhs == rhs:
+                value = lhs
+                break
+        else:
+            lhs = None  # the front list ran out
+        # i counts the front entries passed: all of them, or those before lhs.
+        i = len_lo if lhs is None else len_lo - operator.length_hint(walk) - 1
+        # Each miss advanced exactly one pointer and a hit ended the scan.
+        steps = i + j + (value is not None)
+        if self.trace is not None:
+            events, i, j = [], 0, 0
+            for _ in range(steps):
+                lhs, rhs = lo[i], hi[j]
+                if lhs < rhs:
+                    outcome, i = Ordering.LT, i + 1
+                elif rhs < lhs:
+                    outcome, j = Ordering.GT, j + 1
+                else:
+                    outcome = Ordering.EQ  # the last step
+                events.append(CompareEvent(lhs, rhs, outcome))
+            self.trace.extend(events)
+        self.charge_compares(steps)
+        return value
 
     def charge_generated(self, count: int = 1) -> None:
         """Charge unit cost for generating candidate subset sums."""

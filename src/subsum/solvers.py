@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import length_hint
 from typing import NamedTuple
 
 from .ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
@@ -141,7 +140,7 @@ def _lowest_mask(elements, total: int, ledger: ComparisonLedger | None = None) -
         if tracing:
             # Entries before the hit differ from total - offset; the hit is EQ.
             seen = low if hit is None else low[:hit]
-            ledger.record_misses(list(map(offset.__add__, seen)), total)
+            ledger.record_misses([offset + s for s in seen], total)
             if hit is not None:
                 ledger.record_compare(total, total)
         if hit is not None:
@@ -192,15 +191,14 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None) -> So
     The half lists hold plain ints and are built already ascending by
     sorted_subset_sums: the front sums, and the values target - back sum.
     Each list is still charged as one sort of its length, so C/M/T do not
-    depend on how the order is obtained. The scan walks the front list in
-    one for-loop against a back pointer: a front sum below the back head
-    is one LT comparison and moves on, a back head below the front sum is
-    one GT comparison and advances the back pointer, and equal heads
-    combine to the target, so stop. When either list runs out there is no
-    solution; complete because both halves are enumerated exhaustively. A
-    hit recovers each half's mask with _lowest_mask, brute's blocked walk,
-    untraced and uncharged, so the smallest front mask, then the smallest
-    back mask, wins at the first crossing value. Refused past MITM_MAX_N.
+    depend on how the order is obtained. The ledger's scan walks the two
+    lists to their first common value, where a front sum and a back sum
+    combine to the target, and charges its comparisons. When either list
+    runs out there is no solution; complete because both halves are
+    enumerated exhaustively. A hit recovers each half's mask with
+    _lowest_mask, brute's blocked walk, untraced and uncharged, so the
+    smallest front mask, then the smallest back mask, wins at the first
+    crossing value. Refused past MITM_MAX_N.
     """
     with _run(instance, ledger, ENCODING_SPLIT_SUM, "meet-in-the-middle", MITM_MAX_N) as ledger:
         target = instance.target
@@ -212,36 +210,9 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None) -> So
         ledger.record_sorted_list(len(lo))
         ledger.record_sorted_list(len(hi))
 
-        len_lo, len_hi = len(lo), len(hi)
-        j = 0
-        rhs = hi[0]
-        solution = None
-        # rhs is the back head hi[j]. Most steps pass a front sum below it, at
-        # one comparison each. The loop keeps no front index: enumerate() made
-        # each step take twice as long. The iterator's length_hint recovers it.
-        walk = iter(lo)
-        for lhs in walk:
-            if lhs < rhs:
-                continue
-            while rhs < lhs:
-                j += 1
-                if j == len_hi:
-                    break
-                rhs = hi[j]
-            if j == len_hi:
-                break  # the back list ran out
-            # lhs <= rhs now: LT moves on to the next front sum, EQ is a hit.
-            if lhs == rhs:
-                solution = (_lowest_mask(front, lhs)
-                            | _lowest_mask(back, target - rhs) << split)
-                break
-        else:
-            lhs = None  # the front list ran out
-        # i counts the front entries passed: all of them, or those before lhs.
-        i = len_lo if lhs is None else len_lo - length_hint(walk) - 1
-        # Each miss advanced exactly one pointer and a hit ended the scan, so
-        # the comparisons made are the advances plus the hit: a linear scan.
-        ledger.record_scan(lo, hi, i + j + (solution is not None))
+        value = ledger.scan(lo, hi)
+        solution = None if value is None else (
+            _lowest_mask(front, value) | _lowest_mask(back, target - value) << split)
         return _result(instance, ledger, solution)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import subsum.generators
 from subsum import (GeneratorSpec, brute_force_solve, dumps_instance,
                     gen_planted, gen_powers_of_two, gen_random_wide, generate,
                     mitm_solve, verify)
@@ -128,6 +129,15 @@ def test_planted_mask_always_verifies():
         assert bin(mask).count("1") == size
         assert mask < (1 << n)
         assert verify(inst, mask)
+
+
+def test_planted_self_check_refuses_a_mask_that_misses(monkeypatch):
+    _, mask = gen_planted(8, 1)
+    monkeypatch.setattr(subsum.generators, "subset_sum",
+                        lambda instance, mask: instance.target + 1)
+    with pytest.raises(RuntimeError,
+                       match=rf"^planted mask {mask:#x} does not sum to the target$"):
+        gen_planted(8, 1)
 
 
 def test_planted_solvers_find_a_solution():

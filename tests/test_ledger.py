@@ -176,48 +176,55 @@ def test_record_misses_bulk_matches_record_compare():
     assert plain.trace is None
 
 
-@pytest.mark.parametrize("lo, hi", [
-    ([1, 4, 6, 9], [2, 3, 6, 8]),  # LT, GT, GT, LT, then EQ at step 5
-    ([1, 2], [5, 7]),  # no hit: the front list runs out after 2 steps
-    ([5, 7], [1, 2, 3]),  # no hit: the back list runs out after 3 steps
-])
-def test_record_scan_replays_the_two_pointer_walk(lo, hi):
-    # The reference walk: one record_compare per step, each passing one
-    # entry, until a hit or an exhausted list.
+def _reference_scan(lo, hi):
+    """The two-pointer walk, one record_compare per step: (common value, events)."""
     walk = ComparisonLedger([])
     i = j = 0
     while i < len(lo) and j < len(hi):
         outcome = walk.record_compare(lo[i], hi[j])
         if outcome is Ordering.EQ:
-            break
+            return lo[i], walk.trace
         i, j = (i + 1, j) if outcome is Ordering.LT else (i, j + 1)
-    steps = len(walk.trace)
-    for count in range(steps + 1):
-        runs = []
-        led = ComparisonLedger(SimpleNamespace(extend=runs.append))
-        led.record_scan(lo, hi, count)
-        assert runs == [walk.trace[:count]]
-        assert (led.compare_count, led.elementary_ops) == (count, count)
-    led = ComparisonLedger([])
-    with pytest.raises(ValueError, match=f"got {steps + 1} steps"):
-        led.record_scan(lo, hi, steps + 1)
-    assert led.trace == []
-    assert (led.compare_count, led.elementary_ops) == (0, 0)
-    plain = ComparisonLedger()
-    plain.record_scan(lo, hi, steps + 1)
-    assert plain.trace is None
-    assert (plain.compare_count, plain.elementary_ops) == (steps + 1, steps + 1)
+    return None, walk.trace
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([1, 4, 6, 9], [2, 3, 6, 8]),  # LT, GT, GT, LT, then EQ at step 5
+    ([1, 2], [5, 7]),  # no hit: the front list runs out after 2 steps
+    ([5, 7], [1, 2, 3]),  # no hit: the back list runs out after 3 steps
+])
+def test_scan_replays_the_two_pointer_walk(lo, hi):
+    value, events = _reference_scan(lo, hi)
+    runs = []
+    led = ComparisonLedger(SimpleNamespace(extend=runs.append))
+    assert led.scan(lo, hi) == value
+    assert runs == [events]
+    assert (led.compare_count, led.elementary_ops) == (len(events), len(events))
 
 
 @pytest.mark.parametrize("trace", [None, []], ids=["counters_only", "traced"])
-def test_record_scan_refuses_a_count_past_a_linear_scan(trace):
-    # Two lists of 2 entries allow at most 2 + 2 - 1 = 3 comparisons.
+def test_scan_charges_the_steps_it_takes(trace):
+    # The front list runs out after 2 comparisons. A ledger once charged
+    # whatever count the solver handed it, so a counters-only one took 3 here.
     led = ComparisonLedger(trace)
-    with pytest.raises(RuntimeError,
-                       match=r"^scan made 4 comparisons over lists of 2 and 2 entries$"):
-        led.record_scan([1, 2], [5, 7], 4)
-    assert (led.compare_count, led.elementary_ops) == (0, 0)
-    assert led.trace == trace
+    assert led.scan([1, 2], [5, 7]) is None
+    assert (led.compare_count, led.elementary_ops) == (2, 2)
+
+
+_ASCENDING = st.lists(st.integers(-8, 8), max_size=10).map(sorted)
+
+
+@given(_ASCENDING, _ASCENDING)
+@example([], [0])
+@example([0], [])
+@example([-3, -3, 2], [-3, 2])
+def test_scan_counts_alike_with_and_without_a_trace(lo, hi):
+    value, events = _reference_scan(lo, hi)
+    plain, traced = ComparisonLedger(), ComparisonLedger([])
+    assert plain.scan(lo, hi) == traced.scan(lo, hi) == value
+    assert plain.trace is None and traced.trace == events
+    assert ((plain.compare_count, plain.elementary_ops)
+            == (traced.compare_count, traced.elementary_ops) == (len(events), len(events)))
 
 
 _OPERANDS = st.one_of(st.integers(), st.integers(min_value=1 << 64, max_value=1 << 200),
@@ -624,7 +631,7 @@ def test_pause_restores_collector_state(collector_on, enabled):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_pause_restores_collector_when_solve_raises(collector_on, monkeypatch, enabled):
     # Powers of two at n = 12 walk 4 blocks; the third block's misses raise.
-    # mitm traces its whole scan in one record_scan call, which raises.
+    # mitm runs and traces its whole scan in one scan call, which raises.
     def fail_on(method, nth):
         real, calls = getattr(ComparisonLedger, method), []
 
@@ -637,7 +644,7 @@ def test_pause_restores_collector_when_solve_raises(collector_on, monkeypatch, e
 
     (gc.enable if enabled else gc.disable)()
     for solve, method, nth in [(brute_force_solve, "record_misses", 3),
-                               (mitm_solve, "record_scan", 1)]:
+                               (mitm_solve, "scan", 1)]:
         with monkeypatch.context() as patch:
             patch.setattr(ComparisonLedger, method, fail_on(method, nth))
             with pytest.raises(RuntimeError, match=f"{method} failed"):

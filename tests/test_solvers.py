@@ -488,6 +488,21 @@ def test_dp_range_cap_refusal():
         dp_solve(Instance((-1, DP_MAX_RANGE), 5))
 
 
+def test_dp_walk_back_refuses_elements_that_change_under_it():
+    # dp builds its table by iterating the elements and walks back by
+    # indexing them. Indexing here reads each element one too high, so
+    # taking -1 (read as 0), then -2 (read as -1) leaves -3 - 0 - (-1) = -2.
+    class Lying(tuple):
+        def __getitem__(self, index):
+            return tuple.__getitem__(self, index) + 1
+
+    inst = Instance((-2, -1), -3)
+    object.__setattr__(inst, "elements", Lying(inst.elements))
+    with pytest.raises(RuntimeError,
+                       match=r"^dp walk-back left -2 of the target unmatched$"):
+        dp_solve(inst)
+
+
 # -- cross-solver properties -----------------------------------------------
 
 def test_three_way_agreement_exhaustive_tiny():
@@ -714,6 +729,15 @@ def test_ledger_hands_its_trace_every_event_through_extend(solver):
     assert solver(inst, extend_only) == solver(inst, plain)
     assert list(extend_only.trace) == plain.trace
     assert any(type(event) is EmitEvent for event in plain.trace)
+
+
+@pytest.mark.parametrize("solve", [brute_force_solve, mitm_solve])
+def test_result_refuses_a_mask_that_misses_the_target(monkeypatch, solve):
+    # A recovery that returns the empty mask on a nonzero target must raise.
+    monkeypatch.setattr(subsum.solvers, "_lowest_mask", lambda *args: 0)
+    with pytest.raises(RuntimeError,
+                       match=r"^solver produced mask 0x0, which misses the target$"):
+        solve(Instance((1, 2), 3))
 
 
 def test_result_check_survives_optimize_flag():
