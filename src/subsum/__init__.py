@@ -3,8 +3,8 @@
 Library surface:
 
   * model: Instance, subset_sum, verify, canonical instance file I/O
-  * ledger: ComparisonLedger (C/M/T counters), trace events and dumps,
-    solution_witness_check
+  * ledger: ComparisonLedger, which runs and charges each counted phase
+    (C/M/T), trace events and dumps, solution_witness_check
   * solvers: brute_force_solve, mitm_solve, half_sums, dp_solve
   * generators: powers2 / random / planted instance families
   * bench: run_scaling_experiment, growth fitting, CSV records,

@@ -1,7 +1,7 @@
 """Comparison counting, run traces, and the solution witness check.
 
-Every solver in this package charges its equality-determining comparisons
-to a ComparisonLedger, which holds three counters:
+A ComparisonLedger runs each counted phase of a solver run and charges it
+to three counters:
 
   C (compare_count)    number of instrumented comparisons
   M (peak_sorted_len)  largest sorted list of candidate sums built, floor 1
@@ -12,6 +12,10 @@ The charging model is fixed so that runs are comparable across machines:
   +1 per comparison, +1 per candidate sum generated, and +k +
   ceil(k * log2(k)) per sorted list of k entries, its build and its sort.
 
+It is applied here alone: sorted_sums builds a sorted list of subset sums,
+lowest_mask runs brute's blocked walk and scan mitm's two-pointer walk,
+each charging what it did, so no solver hands the ledger a count.
+
 A ledger is single-writer: one solver run owns one ledger. A ledger given
 a trace list, as in ComparisonLedger([]), adds each charged comparison,
 sorted list build, and solution emission to it as an event; dump_trace
@@ -21,12 +25,12 @@ above n = FULL_TRACE_MAX_N. parse_trace decodes a brute dump's CMP records
 in bulk and hands any other text whole to the per-line parser.
 
 Every event reaches the trace through its extend, in a run: one event for
-record_compare, record_sorted_list and emit. Solvers run one loop, traced
-or not, and extend a trace with whole runs: record_misses hands it
-brute's misses in one block as a run of just its operands, which a trace
-that renders each run, as `subsum solve --trace` does, writes with no
-CompareEvent built; scan runs mitm's walk itself, charges the steps it
-took, and replays them from its two lists once the loop is done.
+a sorted list, a walk's hit or an emission. Each phase runs one loop,
+traced or not, and extends a trace with whole runs: lowest_mask hands it
+each block's misses as one _Misses run of just their operands, which a
+trace that renders each run, as `subsum solve --trace` does, writes with
+no CompareEvent built; scan replays the steps it took from its two lists
+once its loop is done.
 
 parse_trace and traced solves pause CPython's cyclic garbage collector and
 then restore its prior state: events are acyclic, so reference counting
@@ -46,9 +50,14 @@ from contextlib import contextmanager
 from itertools import compress, count, groupby, repeat
 from typing import NamedTuple
 
-from .model import Instance, _quote, check_mask, subset_sum
+from .model import (Instance, _quote, all_subset_sums, check_mask,
+                    sorted_subset_sums, subset_sum)
 
 FULL_TRACE_MAX_N = 24
+# lowest_mask checks masks in blocks of 2^BRUTE_BLOCK_BITS, fixed rather than
+# sized from n, so the walk's memory stays flat in n and brute's M = 1 still
+# means it holds no growing list.
+BRUTE_BLOCK_BITS = 10
 
 # Operand encodings a solver may declare for its comparisons. The encoding
 # fixes how a recorded (lhs, rhs) pair maps back to the (subset sum, target)
@@ -93,8 +102,9 @@ _MISS_OUTCOMES = (Ordering.GT, Ordering.LT)
 class _Misses:
     """The CompareEvents of lhs[i] against rhs, in order, none of them EQ.
 
-    One record_misses call, held as its operands: iterating builds the
-    events, and dump_trace renders the run from lhs and rhs directly.
+    One block of lowest_mask's walk, held as its operands: iterating builds
+    the events in one C-level pass, and dump_trace renders the run from lhs
+    and rhs directly.
     """
 
     __slots__ = ("lhs", "rhs")
@@ -137,11 +147,7 @@ def sort_charge(length: int) -> int:
 
 
 class ComparisonLedger:
-    """Counters for one solver run, plus its events if given a trace list.
-
-    Recording a sorted list or running a scan charges it. record_compare
-    and record_misses only trace: brute charges its whole walk in bulk.
-    """
+    """Counters for one solver run, plus its events if given a trace list."""
 
     __slots__ = ("compare_count", "elementary_ops", "peak_sorted_len",
                  "trace", "encoding")
@@ -153,37 +159,76 @@ class ComparisonLedger:
         self.trace = trace
         self.encoding = ENCODING_SUM_VS_TARGET
 
-    def charge_compares(self, count: int) -> None:
-        """Charge count comparisons at once: C and T each grow by count."""
-        self.compare_count += count
-        self.elementary_ops += count
+    def sorted_sums(self, elements, base: int = 0) -> list[int]:
+        """base + each subset sum of elements, ascending; charges the list.
 
-    def record_compare(self, lhs: int, rhs: int) -> Ordering:
-        """Return the ordering of lhs and rhs and trace it; charges nothing."""
-        if lhs == rhs:
-            outcome = Ordering.EQ
-        elif lhs < rhs:
-            outcome = Ordering.LT
-        else:
-            outcome = Ordering.GT
-        if self.trace is not None:
-            self.trace.extend((CompareEvent(lhs, rhs, outcome),))
-        return outcome
-
-    def record_misses(self, lhs: list[int], rhs: int) -> None:
-        """Trace lhs[i] against rhs for every i, in order; charges nothing.
-
-        No lhs value may equal rhs, so each outcome is LT or GT. The trace
-        is extended once, with a _Misses run: a list trace gets its
-        CompareEvents, built in one C-level pass, and a trace that renders
-        each run as it arrives hands it to dump_trace, which writes its
-        lines from lhs and rhs without building an event.
+        The list is built by sorted_subset_sums. Its k = 2^len(elements)
+        sums are charged to T as k generated sums plus k + sort_charge(k)
+        for the build and the sort, however its order was obtained. M rises
+        to k if k is larger, and a tracing ledger records one LIST event.
         """
-        if self.trace is None:
-            return
-        if rhs in lhs:
-            raise ValueError(f"record_misses got an lhs equal to rhs={rhs}")
-        self.trace.extend(_Misses(lhs, rhs))
+        sums = sorted_subset_sums(elements, base)
+        k = len(sums)
+        if k > self.peak_sorted_len:
+            self.peak_sorted_len = k
+        self.elementary_ops += 2 * k + sort_charge(k)
+        if self.trace is not None:
+            self.trace.extend((SortedListEvent(k),))
+        return sums
+
+    def lowest_mask(self, elements, total: int) -> int | None:
+        """The lowest mask of elements whose subset sum is total, or None; charges the walk.
+
+        The walk goes block by block: with k = min(n, BRUTE_BLOCK_BITS), masks
+        h * 2^k .. h * 2^k + 2^k - 1 share the high-element sum offset(h). The
+        at most 2^BRUTE_BLOCK_BITS unsorted low-element sums are held once as
+        one text, each sum in hex between commas, and one str.find of
+        total - offset(h) in that text checks the whole block. The search still
+        scans every entry up to its hit, in C, so wall time follows the masks
+        visited, and memory stays flat in n. Each visited mask is one
+        comparison and one generated sum, charged once the walk ends. A
+        tracing ledger gets each block's misses as one _Misses run and the
+        hit as one EQ CompareEvent, one event per visited mask.
+        """
+        # Mask h * 2^k + l sums to low[l] + offset(h), and low[l] is the text's
+        # l-th field. The commas anchor a match to a whole field, so ",1," never
+        # matches inside ",-1," or ",11,". find returns the first match, so the
+        # first hit is the lowest matching mask, and the commas before it count
+        # l. Hex, since CPython's int-to-str digit limit spares only powers of
+        # two. The tuple and % keep the build's peak near the tuple's own size.
+        k = min(len(elements), BRUTE_BLOCK_BITS)
+        low = tuple(all_subset_sums(elements[:k]))
+        text = ("," + "%x," * len(low)) % low
+        high = elements[k:]
+        # Prefix sums make the ascending walk over h incremental: stepping from
+        # h-1 to h clears the trailing one-bits and sets one new bit.
+        prefix = [0]
+        for a in high:
+            prefix.append(prefix[-1] + a)
+
+        trace = self.trace
+        offset = 0
+        for h in range(1 << len(high)):
+            if h:
+                bit = (h & -h).bit_length() - 1
+                offset += high[bit] - prefix[bit]
+            at = text.find(f",{total - offset:x},")
+            hit = None if at < 0 else text.count(",", 0, at)
+            if trace is not None:
+                # Entries before the hit differ from total - offset; the hit is EQ.
+                seen = low if hit is None else low[:hit]
+                trace.extend(_Misses([offset + s for s in seen], total))
+                if hit is not None:
+                    trace.extend((CompareEvent(total, total, Ordering.EQ),))
+            if hit is not None:
+                mask = h << k | hit
+                break
+        else:
+            mask = None
+        visited = 1 << len(elements) if mask is None else mask + 1
+        self.compare_count += visited
+        self.elementary_ops += 2 * visited
+        return mask
 
     def scan(self, lo: list[int], hi: list[int]) -> int | None:
         """The smallest value common to ascending lo and hi, or None; charges the walk.
@@ -235,22 +280,9 @@ class ComparisonLedger:
                     outcome = Ordering.EQ  # the last step
                 events.append(CompareEvent(lhs, rhs, outcome))
             self.trace.extend(events)
-        self.charge_compares(steps)
+        self.compare_count += steps
+        self.elementary_ops += steps
         return value
-
-    def charge_generated(self, count: int = 1) -> None:
-        """Charge unit cost for generating candidate subset sums."""
-        self.elementary_ops += count
-
-    def record_sorted_list(self, length: int) -> None:
-        """Charge a sorted list's build and sort: T grows by k + sort_charge(k)."""
-        if length < 0:
-            raise ValueError("list length must be nonnegative")
-        if length > self.peak_sorted_len:
-            self.peak_sorted_len = length
-        self.elementary_ops += length + sort_charge(length)
-        if self.trace is not None:
-            self.trace.extend((SortedListEvent(length),))
 
     def emit(self, mask: int) -> None:
         """Record that a solution mask was output (trace event only)."""
@@ -262,8 +294,8 @@ def dump_trace(trace) -> str:
     """Render a trace in the line format: CMP / LIST / EMIT records.
 
     trace is a sequence of events, such as one run that a ledger hands its
-    trace's extend. A record_misses run renders from its operands with no
-    event built.
+    trace's extend. A _Misses run renders from its operands with no event
+    built.
     """
     if type(trace) is _Misses:
         # Each line is an lhs and one of two tails, both built once.

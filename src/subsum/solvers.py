@@ -13,6 +13,8 @@ Three independent routes to the same answer:
   * dp_solve: pseudo-polynomial reachability table over the sum range,
     uninstrumented; a cross-check oracle for small-magnitude instances.
 
+The ledger runs and charges every counted phase (ComparisonLedger's
+sorted_sums, lowest_mask and scan); this module only reads its counters.
 All solvers are sequential and deterministic: identical instances produce
 identical results and identical counters on every run.
 """
@@ -26,14 +28,10 @@ from typing import NamedTuple
 
 from .ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
                      FULL_TRACE_MAX_N, ComparisonLedger, _gc_paused, front_size)
-from .model import Instance, _quote, all_subset_sums, sorted_subset_sums, verify
+from .model import Instance, _quote, all_subset_sums, verify
 
 BRUTE_FORCE_MAX_N = 30
 MITM_MAX_N = 50
-# brute checks its masks in blocks of 2^BRUTE_BLOCK_BITS against one unsorted
-# text of low-element sums. Fixed rather than sized from n, so brute's memory
-# stays flat in n and its M = 1 still means it holds no growing list.
-BRUTE_BLOCK_BITS = 10
 DP_MAX_RANGE = 10 ** 7
 
 
@@ -101,70 +99,19 @@ def _run(instance: Instance, ledger: ComparisonLedger | None, encoding: str,
             yield ledger
 
 
-def _lowest_mask(elements, total: int, ledger: ComparisonLedger | None = None) -> int | None:
-    """The lowest mask of elements whose subset sum is total, or None.
-
-    The walk goes block by block: with k = min(n, BRUTE_BLOCK_BITS), masks
-    h * 2^k .. h * 2^k + 2^k - 1 share the high-element sum offset(h). The
-    at most 2^BRUTE_BLOCK_BITS unsorted low-element sums are held once as
-    one text, each sum in hex between commas, and one str.find of
-    total - offset(h) in that text checks the whole block. The search still
-    scans every entry up to its hit, in C, so wall time follows the masks
-    visited, and memory stays flat in n. A tracing ledger gets one event
-    per visited mask; nothing is charged.
-    """
-    # Mask h * 2^k + l sums to low[l] + offset(h), and low[l] is the text's
-    # l-th field. The commas anchor a match to a whole field, so ",1," never
-    # matches inside ",-1," or ",11,". find returns the first match, so the
-    # first hit is the lowest matching mask, and the commas before it count
-    # l. Hex, since CPython's int-to-str digit limit spares only powers of
-    # two. The tuple and % keep the build's peak near the tuple's own size.
-    k = min(len(elements), BRUTE_BLOCK_BITS)
-    low = tuple(all_subset_sums(elements[:k]))
-    text = ("," + "%x," * len(low)) % low
-    high = elements[k:]
-    # Prefix sums make the ascending walk over h incremental: stepping from
-    # h-1 to h clears the trailing one-bits and sets one new bit.
-    prefix = [0]
-    for a in high:
-        prefix.append(prefix[-1] + a)
-
-    tracing = ledger is not None and ledger.trace is not None
-    offset = 0
-    for h in range(1 << len(high)):
-        if h:
-            bit = (h & -h).bit_length() - 1
-            offset += high[bit] - prefix[bit]
-        at = text.find(f",{total - offset:x},")
-        hit = None if at < 0 else text.count(",", 0, at)
-        if tracing:
-            # Entries before the hit differ from total - offset; the hit is EQ.
-            seen = low if hit is None else low[:hit]
-            ledger.record_misses([offset + s for s in seen], total)
-            if hit is not None:
-                ledger.record_compare(total, total)
-        if hit is not None:
-            return h << k | hit
-    return None
-
-
 def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None) -> SolveResult:
     """Try every mask in ascending numeric order until one hits the target.
 
-    _lowest_mask's blocked walk visits the masks; each low-sum entry it tests
-    settles one mask, so each visited mask costs one comparison and one
-    generation charge, charged in bulk once the walk ends. No sorted list is
-    built, so the ledger's peak stays at its floor of 1. On an unsolvable
-    instance the comparison count is exactly 2^n. A tracing ledger records one
-    event per visited mask, in ascending order. Refused past BRUTE_FORCE_MAX_N.
+    The ledger's lowest_mask runs the blocked walk over the masks and
+    charges each visited mask one comparison and one generated sum. No
+    sorted list is built, so the ledger's peak stays at its floor of 1. On
+    an unsolvable instance the comparison count is exactly 2^n. A tracing
+    ledger records one event per visited mask, in ascending order. Refused
+    past BRUTE_FORCE_MAX_N.
     """
     with _run(instance, ledger, ENCODING_SUM_VS_TARGET, "brute force",
               BRUTE_FORCE_MAX_N) as ledger:
-        solution = _lowest_mask(instance.elements, instance.target, ledger)
-        visited = 1 << instance.n if solution is None else solution + 1
-        ledger.charge_generated(visited)
-        ledger.charge_compares(visited)
-        return _result(instance, ledger, solution)
+        return _result(instance, ledger, ledger.lowest_mask(instance.elements, instance.target))
 
 
 def half_sums(instance: Instance, half: Half) -> list[HalfSumEntry]:
@@ -172,8 +119,9 @@ def half_sums(instance: Instance, half: Half) -> list[HalfSumEntry]:
 
     The front half covers element indices [0, ceil(n/2)); the back half
     covers the rest. Masks use absolute bit positions so a front mask and a
-    back mask combine with a plain OR. Nothing is charged: mitm_solve
-    charges its own lists. Refused past MITM_MAX_N, as mitm_solve is.
+    back mask combine with a plain OR. Nothing is charged: mitm_solve's
+    lists come from the ledger's sorted_sums. Refused past MITM_MAX_N, as
+    mitm_solve is.
     """
     if not isinstance(half, Half):
         raise TypeError(f"half must be a Half, got {half!r}")
@@ -188,31 +136,28 @@ def half_sums(instance: Instance, half: Half) -> list[HalfSumEntry]:
 def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None) -> SolveResult:
     """Meet-in-the-middle: sorted half-sum lists plus a two-pointer scan.
 
-    The half lists hold plain ints and are built already ascending by
-    sorted_subset_sums: the front sums, and the values target - back sum.
-    Each list is still charged as one sort of its length, so C/M/T do not
-    depend on how the order is obtained. The ledger's scan walks the two
-    lists to their first common value, where a front sum and a back sum
-    combine to the target, and charges its comparisons. When either list
-    runs out there is no solution; complete because both halves are
-    enumerated exhaustively. A hit recovers each half's mask with
-    _lowest_mask, brute's blocked walk, untraced and uncharged, so the
-    smallest front mask, then the smallest back mask, wins at the first
-    crossing value. Refused past MITM_MAX_N.
+    The ledger's sorted_sums builds and charges the two half lists, plain
+    ints already ascending: the front sums, and the values target - back
+    sum. Each is charged as one sort of its length, so C/M/T do not depend
+    on how the order is obtained. The ledger's scan walks the two lists to
+    their first common value, where a front sum and a back sum combine to
+    the target, and charges its comparisons. When either list runs out
+    there is no solution; complete because both halves are enumerated
+    exhaustively. A hit recovers each half's mask with lowest_mask,
+    brute's blocked walk, on a fresh ledger that is then discarded, so
+    recovery is untraced and uncharged, and the smallest front mask, then
+    the smallest back mask, wins at the first crossing value. Refused past
+    MITM_MAX_N.
     """
     with _run(instance, ledger, ENCODING_SPLIT_SUM, "meet-in-the-middle", MITM_MAX_N) as ledger:
         target = instance.target
         split = front_size(instance.n)
         front, back = instance.elements[:split], instance.elements[split:]
-        lo = sorted_subset_sums(front)
-        hi = sorted_subset_sums([-a for a in back], target)
-        ledger.charge_generated(len(lo) + len(hi))
-        ledger.record_sorted_list(len(lo))
-        ledger.record_sorted_list(len(hi))
-
-        value = ledger.scan(lo, hi)
+        value = ledger.scan(ledger.sorted_sums(front),
+                            ledger.sorted_sums([-a for a in back], target))
+        recover = ComparisonLedger().lowest_mask  # its counts are discarded
         solution = None if value is None else (
-            _lowest_mask(front, value) | _lowest_mask(back, target - value) << split)
+            recover(front, value) | recover(back, target - value) << split)
         return _result(instance, ledger, solution)
 
 

@@ -4,7 +4,7 @@ walking, a from-scratch scan simulation instead of the solver's loop)."""
 
 from itertools import combinations
 
-from subsum import Instance
+from subsum import CompareEvent, Instance, Ordering
 
 
 def oracle_matching_masks(elements, target) -> list[int]:
@@ -65,6 +65,12 @@ def simulate_mitm_scan(elements, target):
         else:
             j += 1
     return None, count
+
+
+def compare_event(lhs, rhs) -> CompareEvent:
+    """The CompareEvent of lhs against rhs, its outcome from plain comparisons."""
+    outcome = Ordering.EQ if lhs == rhs else Ordering.LT if lhs < rhs else Ordering.GT
+    return CompareEvent(lhs, rhs, outcome)
 
 
 def make_instance(elements, target) -> Instance:

@@ -141,6 +141,16 @@ def test_gen_writes_both_files_or_neither(tmp_path, capsys, monkeypatch, existin
     assert sorted(os.listdir(tmp_path)) == ["x.json", "x.meta.json"]
 
 
+def test_gen_past_the_digit_limit_writes_neither_file(tmp_path, capsys):
+    # powers2 n = 15000 has 4,516-digit integers, past the interpreter's
+    # int-to-str limit, so the instance file cannot be written; gen exits 2
+    # and leaves neither the instance nor its sidecar.
+    out = tmp_path / "p.json"
+    assert run_cli("gen", "--family", "powers2", "--n", "15000", "--out", str(out)) == 2
+    assert "error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_trace_dump(tmp_path, capsys):
     inst_path = tmp_path / "i.json"
     write_instance(Instance((2, 3, 5), 8), inst_path)
@@ -181,7 +191,7 @@ def test_solve_trace_bytes_equal_library_dump(tmp_path, capsys, algo, solver,
 
 @pytest.mark.parametrize("family, n", [("planted", 14), ("random", 11)])
 def test_solve_trace_builds_no_miss_events(tmp_path, capsys, monkeypatch, family, n):
-    # Each brute block reaches the file as one run of record_misses, which
+    # Each brute block reaches the file as one _Misses run, which
     # dump_trace renders from its sums; iterating the run would build its
     # CompareEvents.
     inst, _ = generate(GeneratorSpec(family=family, n=n, seed=3))
@@ -192,7 +202,7 @@ def test_solve_trace_builds_no_miss_events(tmp_path, capsys, monkeypatch, family
     assert len(led.trace) > 1024  # more than one block
 
     def no_events(run):
-        raise AssertionError("a record_misses run was iterated")
+        raise AssertionError("a misses run was iterated")
     monkeypatch.setattr(subsum.ledger._Misses, "__iter__", no_events)
     trace = tmp_path / "t.txt"
     assert run_cli("solve", "--in", str(path), "--algo", "brute",

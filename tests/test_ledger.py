@@ -1,8 +1,10 @@
 """Ledger counting, traces, witness checking, and tradeoff checks."""
 
+import ast
 import contextlib
 import gc
 import inspect
+import os
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -12,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import compare_event
+import subsum
 from subsum import (ComparisonLedger, CompareEvent, EmitEvent,
                     ExperimentRecord, GeneratorSpec, Instance, Ordering,
                     SortedListEvent, TraceError, brute_force_solve,
@@ -29,71 +33,87 @@ def make_record(n, m, t):
 
 
 def test_compare_outcomes_and_counts():
-    led = ComparisonLedger()
-    led.charge_compares(1)
-    assert led.record_compare(7, 7) is Ordering.EQ
-    assert led.compare_count == 1
-    led.charge_compares(2)
-    assert led.record_compare(3, 9) is Ordering.LT
-    assert led.record_compare(9, 3) is Ordering.GT
-    assert led.compare_count == 3
-    assert led.elementary_ops == 3
+    # Masks 0, 1, 2 of (3, 9) sum to 0, 3, 9 against 9, and of (10, -3) to
+    # 0, 10, -3 against -3. Each visited mask is one comparison and one
+    # generated sum.
+    for elements, total, codes in [((3, 9), 9, "LT LT EQ"), ((10, -3), -3, "GT GT EQ")]:
+        led = ComparisonLedger([])
+        assert led.lowest_mask(elements, total) == 2
+        assert [event.outcome.value for event in led.trace] == codes.split()
+        assert (led.compare_count, led.elementary_ops) == (3, 6)
 
 
 def test_compare_huge_operands():
-    led = ComparisonLedger()
-    assert led.record_compare(10 ** 50, 10 ** 50 + 1) is Ordering.LT
-
-
-@given(st.lists(st.tuples(st.integers(), st.integers()), max_size=50))
-def test_compare_replay_consistency(pairs):
     led = ComparisonLedger([])
-    for lhs, rhs in pairs:
-        led.charge_compares(1)
-        led.record_compare(lhs, rhs)
-    assert led.compare_count == len(pairs)
+    assert led.lowest_mask((10 ** 50,), 10 ** 50 + 1) is None
+    assert led.trace == [CompareEvent(0, 10 ** 50 + 1, Ordering.LT),
+                         CompareEvent(10 ** 50, 10 ** 50 + 1, Ordering.LT)]
+
+
+@given(st.lists(st.integers(), max_size=6), st.integers())
+def test_compare_replay_consistency(elements, total):
+    led = ComparisonLedger([])
+    led.lowest_mask(tuple(elements), total)
+    assert led.compare_count == len(led.trace)
     assert led.compare_count <= led.elementary_ops
     for event in led.trace:
-        expected = (Ordering.EQ if event.lhs == event.rhs
-                    else Ordering.LT if event.lhs < event.rhs
-                    else Ordering.GT)
-        assert event.outcome is expected
+        assert event == compare_event(event.lhs, event.rhs)
 
 
 def test_peak_tracks_max():
     led = ComparisonLedger()
-    led.record_sorted_list(4)
-    led.record_sorted_list(2)
+    led.sorted_sums((1, 2))
+    led.sorted_sums((1,))
     assert led.peak_sorted_len == 4
 
 
 def test_peak_floor_is_one():
     assert ComparisonLedger().peak_sorted_len == 1
     led = ComparisonLedger()
-    led.record_sorted_list(0)
+    assert led.sorted_sums(()) == [0]
+    led.lowest_mask((1, 2), 5)
     assert led.peak_sorted_len == 1
 
 
 def test_peak_with_repeats():
     led = ComparisonLedger()
-    for length in (2, 8, 8):
-        led.record_sorted_list(length)
+    for elements in ((1,), (1, 2, 4), (4, 2, 1)):
+        led.sorted_sums(elements)
     assert led.peak_sorted_len == 8
 
 
 def test_sorted_list_charges_at_least_length():
+    # 4 sums generated, then built and sorted: 4 + 4 + sort_charge(4).
     led = ComparisonLedger()
-    led.record_sorted_list(5)
-    assert led.elementary_ops == 5 + sort_charge(5) == 17
+    assert led.sorted_sums((2, -1), base=10) == [9, 10, 11, 12]
+    assert led.elementary_ops == 2 * 4 + sort_charge(4) == 16
+    assert led.compare_count == 0
 
 
-@pytest.mark.parametrize("trace", [None, []], ids=["counters_only", "traced"])
-def test_negative_list_length_refused(trace):
-    led = ComparisonLedger(trace)
-    with pytest.raises(ValueError, match="list length must be nonnegative"):
-        led.record_sorted_list(-1)
-    assert (led.compare_count, led.elementary_ops, led.peak_sorted_len) == (0, 0, 1)
-    assert led.trace == trace
+def test_only_the_ledger_charges():
+    # The charging model lives in ledger.py alone: no other module stores to
+    # a counter, and solvers.py uses only the ledger methods that run a
+    # phase, or emit, never one that is handed a count.
+    counters = {"compare_count", "elementary_ops", "peak_sorted_len"}
+    phases = {"sorted_sums", "lowest_mask", "scan", "emit"}
+    methods = {name for name, value in vars(ComparisonLedger).items()
+               if callable(value) and not name.startswith("_")}
+    assert not [name for name in methods if name.startswith(("charge_", "record_"))]
+    package = os.path.dirname(subsum.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if name != "ledger.py" and isinstance(node.ctx, ast.Store) and node.attr in counters:
+                found.append(f"{name}:{node.lineno} stores .{node.attr}")
+            if name == "solvers.py" and node.attr in methods - phases:
+                found.append(f"{name}:{node.lineno} uses .{node.attr}")
+    assert found == []
 
 
 def test_sort_charge_values():
@@ -106,36 +126,43 @@ def test_sort_charge_values():
 
 
 def test_generation_charge():
+    # Masks 0..7 of (1, 2, 4) are visited, the last one a hit: T - C counts
+    # the 8 generated sums.
     led = ComparisonLedger()
-    led.charge_generated(7)
-    led.charge_generated()
-    assert led.elementary_ops == 8
-    assert led.compare_count == 0
+    assert led.lowest_mask((1, 2, 4), 7) == 7
+    assert led.elementary_ops - led.compare_count == 8
+    assert led.compare_count == 8
 
 
 def test_bulk_charge_and_trace_only_record():
-    led = ComparisonLedger([])
-    assert led.record_compare(4, 9) is Ordering.LT
-    assert (led.compare_count, led.elementary_ops) == (0, 0)
-    led.charge_compares(5)
-    assert (led.compare_count, led.elementary_ops) == (5, 5)
-    assert led.trace == [CompareEvent(4, 9, Ordering.LT)]
+    # Blocks of 2 masks: three runs of misses, then the last block's miss
+    # and its hit. Every run reaches the trace before the walk is charged.
+    runs = []
+    led = ComparisonLedger(SimpleNamespace(extend=lambda run: runs.append(
+        (list(run), led.compare_count, led.elementary_ops))))
+    with mock.patch.object(ledger, "BRUTE_BLOCK_BITS", 1):
+        assert led.lowest_mask((1, 2, 4), 7) == 7
+    assert [len(events) for events, _, _ in runs] == [2, 2, 2, 1, 1]
+    assert {(c, t) for _, c, t in runs} == {(0, 0)}
+    assert runs[-1][0] == [CompareEvent(7, 7, Ordering.EQ)]
+    assert (led.compare_count, led.elementary_ops) == (8, 16)
 
 
 def test_counters_only_has_no_trace():
     led = ComparisonLedger()
-    led.record_compare(1, 2)
+    led.lowest_mask((1,), 2)
+    led.scan(led.sorted_sums((1,)), [1])
     led.emit(0)
     assert led.trace is None
 
 
 def test_trace_event_order():
     led = ComparisonLedger([])
-    led.record_sorted_list(2)
-    led.record_compare(3, 3)
-    led.emit(5)
-    assert led.trace == [SortedListEvent(2), CompareEvent(3, 3, Ordering.EQ),
-                         EmitEvent(5)]
+    led.sorted_sums((3,))
+    led.lowest_mask((3,), 3)
+    led.emit(1)
+    assert led.trace == [SortedListEvent(2), CompareEvent(0, 3, Ordering.LT),
+                         CompareEvent(3, 3, Ordering.EQ), EmitEvent(1)]
 
 
 def test_dump_trace_exact_format():
@@ -160,32 +187,17 @@ def test_parse_trace_rejects_garbage():
                 parse_trace(first + "\n" + line + "\n")
 
 
-def test_record_misses_bulk_matches_record_compare():
-    bulk = ComparisonLedger([])
-    bulk.record_misses([-4, 9, 2, 10 ** 30], 3)
-    one = ComparisonLedger([])
-    for lhs in (-4, 9, 2, 10 ** 30):
-        one.record_compare(lhs, 3)
-    assert bulk.trace == one.trace
-    assert all(type(e) is CompareEvent for e in bulk.trace)
-    assert (bulk.compare_count, bulk.elementary_ops) == (0, 0)
-    with pytest.raises(ValueError):
-        bulk.record_misses([1, 3], 3)
-    plain = ComparisonLedger()
-    plain.record_misses([1, 3], 3)
-    assert plain.trace is None
-
-
 def _reference_scan(lo, hi):
-    """The two-pointer walk, one record_compare per step: (common value, events)."""
-    walk = ComparisonLedger([])
+    """The two-pointer walk, one plain comparison per step: (common value, events)."""
+    events = []
     i = j = 0
     while i < len(lo) and j < len(hi):
-        outcome = walk.record_compare(lo[i], hi[j])
+        events.append(compare_event(lo[i], hi[j]))
+        outcome = events[-1].outcome
         if outcome is Ordering.EQ:
-            return lo[i], walk.trace
+            return lo[i], events
         i, j = (i + 1, j) if outcome is Ordering.LT else (i, j + 1)
-    return None, walk.trace
+    return None, events
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -236,10 +248,9 @@ _OPERANDS = st.one_of(st.integers(), st.integers(min_value=1 << 64, max_value=1 
 @example([-7, 0, 1 << 64, (1 << 64) + 1, -(1 << 64)], (1 << 64) - 1)
 def test_misses_run_renders_as_its_events(lhs, rhs):
     lhs = [x for x in lhs if x != rhs]
-    runs = []
-    ComparisonLedger(SimpleNamespace(extend=runs.append)).record_misses(lhs, rhs)
-    (run,) = runs
+    run = ledger._Misses(lhs, rhs)
     events = list(run)
+    assert events == [compare_event(x, rhs) for x in lhs]
     assert all(type(e) is CompareEvent for e in events)
     assert len(run) == len(events) == len(lhs)
     assert dump_trace(run) == dump_trace(events)
@@ -628,27 +639,26 @@ def test_pause_restores_collector_state(collector_on, enabled):
     assert gc.isenabled() is enabled
 
 
+class ThirdRunFails(list):
+    """A trace list whose third extend raises."""
+
+    runs = 0
+
+    def extend(self, run):
+        self.runs += 1
+        if self.runs == 3:
+            raise RuntimeError("third run failed")
+        super().extend(run)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
-def test_pause_restores_collector_when_solve_raises(collector_on, monkeypatch, enabled):
+def test_pause_restores_collector_when_solve_raises(collector_on, enabled):
     # Powers of two at n = 12 walk 4 blocks; the third block's misses raise.
-    # mitm runs and traces its whole scan in one scan call, which raises.
-    def fail_on(method, nth):
-        real, calls = getattr(ComparisonLedger, method), []
-
-        def failing(self, *args):
-            calls.append(args)
-            if len(calls) == nth:
-                raise RuntimeError(f"{method} failed")
-            return real(self, *args)
-        return failing
-
+    # mitm's third run, after its two LIST records, is its scan's.
     (gc.enable if enabled else gc.disable)()
-    for solve, method, nth in [(brute_force_solve, "record_misses", 3),
-                               (mitm_solve, "scan", 1)]:
-        with monkeypatch.context() as patch:
-            patch.setattr(ComparisonLedger, method, fail_on(method, nth))
-            with pytest.raises(RuntimeError, match=f"{method} failed"):
-                solve(gen_powers_of_two(12), ComparisonLedger([]))
+    for solve in (brute_force_solve, mitm_solve):
+        with pytest.raises(RuntimeError, match="third run failed"):
+            solve(gen_powers_of_two(12), ComparisonLedger(ThirdRunFails()))
         assert gc.isenabled() is enabled
 
 

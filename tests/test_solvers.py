@@ -13,18 +13,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_matching_masks, oracle_solvable, simulate_mitm_scan
+from conftest import compare_event, oracle_matching_masks, oracle_solvable, simulate_mitm_scan
 import subsum
 from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
                     EmitEvent, GeneratorSpec, Half, HalfSumEntry, Instance,
-                    Ordering, SplitMix64, brute_force_solve, derive_seed,
+                    Ordering, SortedListEvent, SplitMix64, brute_force_solve, derive_seed,
                     dp_solve, dump_trace, gen_planted, gen_powers_of_two,
                     gen_random_wide, generate, half_sums, mitm_solve,
                     solution_witness_check, subset_sum, verify)
 from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET, sort_charge
 from subsum.model import all_subset_sums, sorted_subset_sums
-from subsum.solvers import (BRUTE_BLOCK_BITS, BRUTE_FORCE_MAX_N, DP_MAX_RANGE, MITM_MAX_N,
-                            _lowest_mask)
+from subsum.solvers import BRUTE_FORCE_MAX_N, DP_MAX_RANGE, MITM_MAX_N
 
 
 @st.composite
@@ -158,13 +157,14 @@ def test_brute_lowest_mask_across_blocks(inst):
 
 
 def reference_brute_trace(inst):
-    """brute's trace events, one record_compare call per visited mask."""
-    led = ComparisonLedger([])
+    """brute's trace events, one plain comparison per visited mask."""
+    events = []
     for mask in range(1 << inst.n):
-        if led.record_compare(subset_sum(inst, mask), inst.target) is Ordering.EQ:
-            led.emit(mask)
+        events.append(compare_event(subset_sum(inst, mask), inst.target))
+        if events[-1].outcome is Ordering.EQ:
+            events.append(EmitEvent(mask))
             break
-    return led.trace
+    return events
 
 
 @given(small_instances(max_n=12, magnitude=2, min_n=5), st.sampled_from([0, 1, 2, 3, 10]))
@@ -172,7 +172,7 @@ def reference_brute_trace(inst):
 def test_brute_bulk_trace_matches_per_mask_reference(inst, bits):
     # Small blocks and ties in [-2, 2] put most hits in a later block, after
     # earlier blocks that hold the same sums.
-    with mock.patch.object(subsum.solvers, "BRUTE_BLOCK_BITS", bits):
+    with mock.patch.object(subsum.ledger, "BRUTE_BLOCK_BITS", bits):
         led = ComparisonLedger([])
         brute_force_solve(inst, led)
     assert led.trace == reference_brute_trace(inst)
@@ -190,6 +190,10 @@ def test_brute_memory_flat_in_n():
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 1024, (inst.n, peak)
+
+
+def _lowest_mask(elements, total):
+    return ComparisonLedger().lowest_mask(elements, total)
 
 
 def test_lowest_mask_matches_whole_low_sums_only():
@@ -219,7 +223,7 @@ def test_lowest_mask_equals_oracle_on_wide_magnitudes(elements, data, bits):
         total = sum(a for i, a in enumerate(elements) if mask >> i & 1)
     else:
         total = data.draw(big_or_small)
-    with mock.patch.object(subsum.solvers, "BRUTE_BLOCK_BITS", bits):
+    with mock.patch.object(subsum.ledger, "BRUTE_BLOCK_BITS", bits):
         assert _lowest_mask(elements, total) == min(oracle_matching_masks(elements, total),
                                                   default=None)
 
@@ -379,35 +383,33 @@ def test_mitm_memory_per_half_entry(inst):
 def reference_mitm(inst):
     """mitm's mask, C/M/T and trace events from a pointer-pair while loop.
 
-    The same half lists and charges as the solver; the scan advances one
-    pointer per miss, testing both list bounds before every comparison.
+    The same half lists as the solver, charged by README's model with no
+    ledger; the scan advances one pointer per miss, testing both list
+    bounds before every comparison.
     """
     split = (inst.n + 1) // 2
     front, back = inst.elements[:split], inst.elements[split:]
     lo = sorted_subset_sums(front)
     hi = sorted_subset_sums([-a for a in back], inst.target)
-    led = ComparisonLedger([])
-    led.charge_generated(len(lo) + len(hi))
-    for sums in (lo, hi):
-        led.record_sorted_list(len(sums))
+    events = [SortedListEvent(len(lo)), SortedListEvent(len(hi))]
     i = j = 0
     solution = None
     while i < len(lo) and j < len(hi):
         lhs, rhs = lo[i], hi[j]
-        outcome = led.record_compare(lhs, rhs)
+        events.append(compare_event(lhs, rhs))
+        outcome = events[-1].outcome
         if outcome is Ordering.EQ:
             solution = (all_subset_sums(front).index(lhs)
                         | all_subset_sums(back).index(inst.target - rhs) << split)
+            events.append(EmitEvent(solution))
             break
         if outcome is Ordering.LT:
             i += 1
         else:
             j += 1
-    led.charge_compares(i + j + (solution is not None))
-    if solution is not None:
-        led.emit(solution)
-    return (solution, led.compare_count, led.peak_sorted_len,
-            led.elementary_ops), led.trace
+    compares = i + j + (solution is not None)
+    ops = compares + 2 * (len(lo) + len(hi)) + sort_charge(len(lo)) + sort_charge(len(hi))
+    return (solution, compares, max(len(lo), len(hi)), ops), events
 
 
 @given(st.one_of(small_instances(), small_instances(max_n=12, magnitude=3)))
@@ -695,17 +697,14 @@ class CallCountingLedger(ComparisonLedger):
 
 @pytest.mark.parametrize("solver", [brute_force_solve, mitm_solve])
 def test_ledger_calls_constant_in_n(solver):
-    # Traced, brute hands the ledger one record_misses run per block of
-    # 2^BRUTE_BLOCK_BITS masks; every other call is made a fixed number of
-    # times. The trace holds exactly C CompareEvents.
+    # Each phase is one ledger call, traced or not: brute's whole walk is one
+    # lowest_mask call. The trace holds exactly C CompareEvents.
     for traced in (False, True):
         calls = []
         for n in (8, 16):
             inst = gen_powers_of_two(n)
             led = CallCountingLedger([] if traced else None)
             assert solver(inst, led) == solver(inst)
-            if traced and solver is brute_force_solve:
-                led.calls -= 1 << max(n - BRUTE_BLOCK_BITS, 0)
             if traced:
                 compares = [e for e in led.trace if type(e) is CompareEvent]
                 assert len(compares) == led.compare_count
@@ -734,7 +733,7 @@ def test_ledger_hands_its_trace_every_event_through_extend(solver):
 @pytest.mark.parametrize("solve", [brute_force_solve, mitm_solve])
 def test_result_refuses_a_mask_that_misses_the_target(monkeypatch, solve):
     # A recovery that returns the empty mask on a nonzero target must raise.
-    monkeypatch.setattr(subsum.solvers, "_lowest_mask", lambda *args: 0)
+    monkeypatch.setattr(subsum.ledger.ComparisonLedger, "lowest_mask", lambda *args: 0)
     with pytest.raises(RuntimeError,
                        match=r"^solver produced mask 0x0, which misses the target$"):
         solve(Instance((1, 2), 3))
