@@ -8,11 +8,9 @@ fits slope 1.0 and one proportional to sqrt(2^n) fits slope 0.5.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import re
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -72,6 +70,7 @@ def fit_growth(points) -> GrowthFit:
         except OverflowError:
             raise ValueError(f"n={_quote(n)} is too large to fit as a float") from None
     ys = [math.log2(count) for _, count in points]
+    import statistics  # here, not at the top: it loads decimal and fractions
     slope, intercept = statistics.linear_regression(xs, ys)
     rmse = math.sqrt(sum((y - (slope * x + intercept)) ** 2
                          for x, y in zip(xs, ys)) / len(xs))
@@ -140,6 +139,7 @@ def run_scaling_experiment(algo: str, family: str, n_min: int, n_max: int,
 
 def write_records_csv(records, path) -> None:
     """Write rows to path, sorted by (n, trial), replacing what it held."""
+    import csv  # here, not at the top: only bench CSVs use it
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(CSV_FIELDS)
@@ -170,6 +170,7 @@ def read_records_csv(path) -> list[ExperimentRecord]:
     naming its line, and a bad integer's column, as does an integer past
     the interpreter's int-to-str digit limit.
     """
+    import csv  # here, not at the top: only bench CSVs use it
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

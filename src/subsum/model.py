@@ -103,6 +103,9 @@ def verify(instance: Instance, mask: int) -> bool:
 
 def dumps_instance(instance: Instance) -> str:
     """Canonical single-line JSON encoding; byte-stable for identical instances."""
+    # The widest value first, so one past the digit limit is refused
+    # before any other is converted.
+    str(max((instance.target, *instance.elements), key=int.bit_length))
     doc = {
         "n": instance.n,
         "a": [str(x) for x in instance.elements],

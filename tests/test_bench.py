@@ -3,15 +3,16 @@
 import dataclasses
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subsum import (fit_growth, group_records, read_records_csv,
-                    run_scaling_experiment, tradeoff_report,
-                    write_records_csv)
+from subsum import (ExperimentRecord, fit_growth, group_records,
+                    read_records_csv, run_scaling_experiment,
+                    tradeoff_report, write_records_csv)
 from subsum.solvers import BRUTE_FORCE_MAX_N, MITM_MAX_N
 
 
@@ -362,3 +363,87 @@ def test_unknown_algo_rejected():
         run_scaling_experiment("brute", "nope", 4, 8, 1, 1, 0)
     with pytest.raises(ValueError):
         run_scaling_experiment("brute", "powers2", 4, 8, 0, 1, 0)
+
+
+# -- tradeoff checking -----------------------------------------------------
+
+def make_record(n, m, t):
+    return ExperimentRecord(n=n, family="x", algo="x", seed=0, trial=0,
+                            compare_count=0, peak_sorted_len=m,
+                            elementary_ops=t, wall_time=0.0)
+
+
+def test_tradeoff_brute_style_row_holds():
+    report = tradeoff_report([make_record(10, 1, 1024)])
+    assert report.total == 1
+    assert report.t_ge_m_violations == report.mt_violations == []
+    assert report.ok
+
+
+def test_tradeoff_split_style_row_holds():
+    report = tradeoff_report([make_record(10, 32, 96)])  # 32 * 96 = 3072 >= 1024
+    assert report.total == 1
+    assert report.t_ge_m_violations == report.mt_violations == []
+    assert report.ok
+
+
+def test_tradeoff_flags_t_less_than_m():
+    record = make_record(4, 5, 4)
+    report = tradeoff_report([record])
+    assert report.t_ge_m_violations == [(0, record)]
+    assert not report.ok
+    assert "violates" in report.summary()
+
+
+def test_tradeoff_flags_mt_shortfall():
+    record = make_record(10, 2, 100)
+    report = tradeoff_report([record])
+    assert report.t_ge_m_violations == []
+    assert report.mt_violations == [(0, record)]
+
+
+@given(st.integers(-5, 70), st.integers(-3, 1 << 36), st.integers(-3, 1 << 36))
+@example(10, 32, 32)  # M*T = 2^n exactly
+@example(10, 31, 33)  # M*T = 2^n - 1
+def test_tradeoff_mt_check_is_exact(n, m, t):
+    # 2 ** n is an exact float for these negative n.
+    report = tradeoff_report([make_record(n, m, t)])
+    assert (not report.mt_violations) == (m * t >= 2 ** n)
+
+
+def test_tradeoff_huge_n_builds_no_power_of_two():
+    # n comes from a CSV; 2^(10^12) would take about 125 GB.
+    record = make_record(10 ** 12, 2, 100)
+    tracemalloc.start()
+    try:
+        report = tradeoff_report([record])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mt_violations == [(0, record)]
+    assert "M*T=200 < 2^1000000000000" in report.summary()
+    assert peak < 64 * 1024
+
+
+def test_tradeoff_negative_n():
+    # 2^n < 1 for n < 0, so any positive M*T meets it.
+    records = [make_record(-1, 1, 1), make_record(-4, 0, 3)]
+    report = tradeoff_report(records)
+    assert report.mt_violations == [(1, records[1])]
+    assert "M*T=0 < 2^-4" in report.summary()
+
+
+def test_tradeoff_zero_m_violates_floor():
+    record = make_record(0, 0, 5)
+    report = tradeoff_report([record])
+    assert report.t_ge_m_violations == [(0, record)]
+
+
+def test_tradeoff_requires_records():
+    with pytest.raises(ValueError):
+        tradeoff_report([])
+
+
+def test_tradeoff_mixed_summary_counts():
+    report = tradeoff_report([make_record(10, 1, 1024), make_record(4, 5, 4)])
+    assert "1/2" in report.summary().splitlines()[0]

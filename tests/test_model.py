@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import oracle_matching_masks
+import subsum.model
 from subsum import (Instance, InstanceFormatError, SplitMix64, dumps_instance,
                     loads_instance, read_instance, subset_sum, verify,
                     write_instance)
@@ -165,6 +166,31 @@ def test_verify_agrees_with_independent_summation():
 def test_dumps_canonical_form():
     inst = Instance((1, -2, 4), 8)
     assert dumps_instance(inst) == '{"n":3,"a":["1","-2","4"],"b":"8"}\n'
+
+
+_UNDER_LIMIT = [2 ** i for i in range(100)]
+
+
+@pytest.mark.parametrize("elements, target", [
+    (_UNDER_LIMIT + [10 ** 5000], 0),
+    (_UNDER_LIMIT + [-10 ** 5000], 0),
+    (_UNDER_LIMIT, 10 ** 5000),
+], ids=["element", "negative_element", "target"])
+def test_dumps_refuses_past_digit_limit_before_converting_any_value(
+        monkeypatch, elements, target):
+    # The value past the limit comes after many under it; none of those
+    # is converted before the refusal.
+    converted = []
+
+    def counting_str(value):
+        text = str(value)
+        converted.append(value)
+        return text
+
+    monkeypatch.setattr(subsum.model, "str", counting_str, raising=False)
+    with pytest.raises(ValueError, match="limit"):
+        dumps_instance(Instance(elements, target))
+    assert converted == []
 
 
 def test_file_round_trip(tmp_path):
