@@ -7,6 +7,11 @@
 # runs stop at n = 16. A copy with the outcome of line 200000 garbled
 # must be refused, naming that line: the bulk decoder refuses it, and
 # the per-line parser reads the whole text and numbers its lines.
+# A copy with the lhs of line 100000 given a leading zero must parse to
+# t.txt's events and pass the witness check: JSON's grammar, which the
+# bulk decoder reads lhs texts with, refuses "0" before a digit, so that
+# chunk is refused and the per-line parser reads the whole text. The
+# step prints its wall time.
 # Then a powers2 n = 22 brute trace, 2^22 CMP records, under a 400 MB
 # virtual memory ceiling. The CLI writes each block's lines from the
 # block's sums and builds no event tuples, so its peak, near 110 MB
@@ -39,6 +44,18 @@ except s.TraceError as exc:
     print(exc)
     raise SystemExit(not str(exc).startswith('line 200000: malformed record'))
 raise SystemExit('bad.txt parsed')
+PY
+sed '100000s/^CMP /CMP 0/' t.txt > zero.txt
+sed -n 100000p zero.txt | grep -q '^CMP 0[0-9]'
+python - <<'PY'
+import time
+import subsum as s
+start = time.perf_counter()
+events = s.parse_trace(open('zero.txt').read())
+same = events == s.parse_trace(open('t.txt').read())
+ok = s.solution_witness_check(events, s.read_instance('inst.json'))
+print(f'leading zero: same events {same}, witness {ok}, {time.perf_counter() - start:.2f} s')
+raise SystemExit(not (same and ok is True))
 PY
 subsum gen --family planted --n 24 --seed 3 --out m24.json
 subsum solve --in m24.json --algo mitm --trace m24.txt > m24.out

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import gc
+import json
 import math
 import operator
 import re
@@ -298,10 +299,13 @@ def dump_trace(trace) -> str:
     built.
     """
     if type(trace) is _Misses:
-        # Each line is an lhs and one of two tails, both built once.
-        rhs = trace.rhs
-        lt_tail, gt_tail = f" {rhs} LT\n", f" {rhs} GT\n"
-        return "".join([f"CMP {x}{lt_tail if x < rhs else gt_tail}" for x in trace.lhs])
+        # One %-format renders the block: each line is one of two templates,
+        # built once with any "%" in the rhs text escaped, and %d writes each
+        # lhs, an int sum from lowest_mask, straight into the text.
+        lhs, rhs = trace.lhs, trace.rhs
+        tail = f"{rhs}".replace("%", "%%")
+        lt_line, gt_line = f"CMP %d {tail} LT\n", f"CMP %d {tail} GT\n"
+        return "".join([lt_line if x < rhs else gt_line for x in lhs]) % tuple(lhs)
     parts = []
     # One comprehension per run of same-typed events. An outcome's text is
     # its _value_, a plain attribute; .value is a Python-level property.
@@ -326,7 +330,9 @@ _ORDERINGS = {ordering.value: ordering for ordering in Ordering}
 # "CMP", or to the final "\n".
 _INNER_OUTCOMES = {code + "\nCMP": ordering for code, ordering in _ORDERINGS.items()}
 _LAST_OUTCOMES = {code + "\n": ordering for code, ordering in _ORDERINGS.items()}
-_OPERAND_CHARS_RE = re.compile(r"[-0-9]*")
+# A str.translate table that deletes each character an operand, or a comma
+# between operands, may hold.
+_OPERAND_CHARS = str.maketrans("", "", ",-0123456789")
 
 
 @_gc_paused()
@@ -372,11 +378,15 @@ def _decode_compares(records: str) -> list:
     final "\n". Outcomes are looked up in _INNER_OUTCOMES and
     _LAST_OUTCOMES, so anything else raises KeyError. The rhs texts must
     all be one text, as brute's target is, which is converted once; two
-    rhs texts, as in a mitm scan, raise ValueError. An operand made only
-    of "-" and ASCII digits that int() accepts is exactly -?[0-9]+;
-    anything else raises ValueError. Anything but such a run raises
-    KeyError or ValueError, having decoded nothing, and parse_trace then
-    reads the whole text with _parse_lines.
+    rhs texts, as in a mitm scan, raise ValueError. An rhs made only of
+    "-", "," and ASCII digits that int() accepts is exactly -?[0-9]+. The
+    lhs texts, joined with commas and found to hold nothing else, are
+    decoded by one json.loads. JSON's integers, -?(0|[1-9][0-9]*), are a
+    subset of the format's -?[0-9]+: it refuses "07", "-", an empty text
+    and a decimal past the digit limit, and a comma inside an lhs text
+    yields one int too many; each raises ValueError. Anything but such a
+    run raises KeyError or ValueError, having decoded nothing, and
+    parse_trace then reads the whole text with _parse_lines.
     """
     tokens = records.split(" ")
     if tokens[0] != "CMP" or len(tokens) % 3 != 1:
@@ -388,10 +398,15 @@ def _decode_compares(records: str) -> list:
     rhs = rhs_texts[0]
     if rhs_texts.count(rhs) != len(rhs_texts):
         raise ValueError("not a run against one rhs")
-    if _OPERAND_CHARS_RE.fullmatch("".join(lhs_texts) + rhs) is None:
+    joined = ",".join(lhs_texts)
+    if joined.translate(_OPERAND_CHARS) or rhs.translate(_OPERAND_CHARS):
         raise ValueError("an operand is not a decimal integer")
+    # With no ".", "e" or bracket left, json.loads can return only ints.
+    lhs = json.loads(f"[{joined}]")
+    if len(lhs) != len(lhs_texts):
+        raise ValueError("an lhs text holds a comma")
     return list(map(tuple.__new__, repeat(CompareEvent),
-                    zip(map(int, lhs_texts), repeat(int(rhs)), outcomes)))
+                    zip(lhs, repeat(int(rhs)), outcomes)))
 
 
 def _parse_lines(text: str) -> list:

@@ -189,6 +189,42 @@ def test_solve_trace_bytes_equal_library_dump(tmp_path, capsys, algo, solver,
     assert trace.read_bytes() == dump_trace(led.trace).encode()
 
 
+def test_solve_trace_bytes_equal_library_dump_for_negative_values(tmp_path, capsys):
+    # Generated families hold only positive values. Signed powers of two
+    # have distinct subset sums, so the one solution of target -1023 is
+    # mask 2^10 + 3, in brute's second block of 2^10 masks.
+    inst = Instance(tuple(-(1 << i) if i % 2 == 0 else 1 << i for i in range(11)), -1023)
+    path = tmp_path / "i.json"
+    write_instance(inst, path)
+    led = ComparisonLedger([])
+    assert brute_force_solve(inst, led).solution == (1 << 10) + 3
+    trace = tmp_path / "t.txt"
+    assert run_cli("solve", "--in", str(path), "--algo", "brute", "--trace", str(trace)) == 0
+    assert trace.read_bytes() == dump_trace(led.trace).encode()
+    assert "CMP -1 -1023 GT\n" in trace.read_text()
+
+
+def test_traced_brute_past_the_digit_limit_writes_no_trace(tmp_path, capsys):
+    # Each element is within the int-to-str digit limit, but their sum, an
+    # lhs of brute's first block, is not, so the trace cannot be rendered.
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** limit - 1
+    path = tmp_path / "i.json"
+    write_instance(Instance((big, big), 1), path)
+    trace = tmp_path / "t.txt"
+    solve = ("solve", "--in", str(path), "--algo", "brute")
+    assert run_cli(*solve, "--trace", str(trace)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(limit) in err
+    assert os.listdir(tmp_path) == ["i.json"]
+    trace.write_bytes(b"old trace\n")
+    assert run_cli(*solve, "--trace", str(trace)) == 2
+    assert trace.read_bytes() == b"old trace\n"
+    capsys.readouterr()
+    assert run_cli(*solve) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "NOSOLUTION"
+
+
 @pytest.mark.parametrize("family, n", [("planted", 14), ("random", 11)])
 def test_solve_trace_builds_no_miss_events(tmp_path, capsys, monkeypatch, family, n):
     # Each brute block reaches the file as one _Misses run, which

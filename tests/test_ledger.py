@@ -249,6 +249,25 @@ def test_misses_run_renders_as_its_events(lhs, rhs):
     assert dump_trace(run) == dump_trace(events)
 
 
+class PercentText(int):
+    """An int whose text holds "%" conversions."""
+
+    def __str__(self):
+        return f"{int(self)}%d%s%%"
+
+
+@given(st.lists(_OPERANDS, min_size=1, max_size=40), _OPERANDS)
+def test_misses_run_escapes_a_percent_in_its_rhs_text(lhs, rhs):
+    # The run renders its block with one %-format, so a "%" in the rhs text
+    # must reach the line as it is, as it does through the events.
+    rhs = PercentText(rhs)
+    lhs = [x for x in lhs if x != rhs] or [rhs + 1]
+    run = ledger._Misses(lhs, rhs)
+    text = dump_trace(run)
+    assert text == dump_trace(list(run))
+    assert f" {int(rhs)}%d%s%% " in text
+
+
 class CompareSubclass(CompareEvent):
     pass
 
@@ -390,6 +409,52 @@ def test_single_rhs_runs_match_per_line_parser(text, chunk):
         assert isinstance(expected, str)
     else:
         assert decoded == expected
+
+
+# lhs texts that the format takes and JSON refuses ("07", "00", "-07"),
+# that both take ("-0"), that JSON takes and the format refuses ("1e5",
+# "1.5"), that neither takes, and one past the digit limit.
+strict_lhs_texts = st.one_of(
+    st.integers(-10 ** 25, 10 ** 25).map(str),
+    st.sampled_from(["07", "00", "-0", "-07", "1,2", ",5", "5,", "", "1e5", "1.5",
+                     "-", "\uff17", "7" * 5000]),
+)
+
+
+@st.composite
+def strict_lhs_runs(draw):
+    """CMP records against one rhs text, with lhs texts JSON may refuse."""
+    rhs = draw(st.integers(-10 ** 25, 10 ** 25))
+    lhs = draw(st.lists(strict_lhs_texts, min_size=1, max_size=40))
+    codes = draw(st.lists(st.sampled_from(["EQ", "LT", "GT"]),
+                          min_size=len(lhs), max_size=len(lhs)))
+    return "".join(f"CMP {x} {rhs} {code}\n" for x, code in zip(lhs, codes))
+
+
+@settings(max_examples=300)
+@given(strict_lhs_runs(), CHUNK_SIZES)
+@example("CMP 07 5 LT\nCMP -0 5 LT\n", 1 << 15)
+@example("CMP 1,2 5 LT\n", 1)
+def test_bulk_decoder_refusals_match_per_line_parser(text, chunk):
+    # The bulk decoder reads lhs texts as JSON, whose grammar is stricter
+    # than the format's, so what it refuses is read per line.
+    expected = parse_outcome(_parse_lines, text)
+    with mock.patch.object(ledger, "_CHUNK_CHARS", chunk):
+        assert parse_outcome(parse_trace, text) == expected
+    try:
+        decoded = [(type(event), event) for event in ledger._decode_compares(text)]
+    except (KeyError, ValueError):
+        return
+    assert decoded == expected
+
+
+@pytest.mark.parametrize("text", [
+    "CMP 1,2 5 LT\n", "CMP 3 5 LT\nCMP 1,2 5 GT\n", "CMP 1,2,3 5 LT\nCMP 4 5 GT\n"])
+def test_bulk_decoder_refuses_a_comma_inside_an_lhs(text):
+    # Joined with commas, the lhs texts decode to one int too many.
+    with pytest.raises(ValueError, match="comma"):
+        ledger._decode_compares(text)
+    assert isinstance(parse_outcome(parse_trace, text), str)
 
 
 @pytest.mark.parametrize("rhs", ["1_0", "+7", "\uff17"])
