@@ -19,8 +19,8 @@
 # as a tuple would need about 1 GB. The solve must exit 1 (no
 # solution); a MemoryError exits 2 and leaves no trace. Its stdout
 # and the trace's line count are checked too.
-# A planted n = 24 mitm trace is parsed back and witness-checked under
-# the split-sum encoding. parse_trace decodes in bulk only a brute
+# A planted n = 24 mitm trace is parsed back and witness-checked, its
+# split read from its LIST records. parse_trace decodes in bulk only a brute
 # dump's CMP records; a mitm dump opens with its LIST records, so the
 # per-line parser reads it whole. That costs a few milliseconds at
 # most: FULL_TRACE_MAX_N = 24 caps a mitm dump at 2^12 + 2^12 - 1 =
@@ -59,7 +59,7 @@ raise SystemExit(not (same and ok is True))
 PY
 subsum gen --family planted --n 24 --seed 3 --out m24.json
 subsum solve --in m24.json --algo mitm --trace m24.txt > m24.out
-python -c "import subsum as s; ok = s.solution_witness_check(s.parse_trace(open('m24.txt').read()), s.read_instance('m24.json'), 'front_sum_vs_target_minus_back_sum'); print('witness', ok); raise SystemExit(ok is not True)"
+python -c "import subsum as s; ok = s.solution_witness_check(s.parse_trace(open('m24.txt').read()), s.read_instance('m24.json')); print('witness', ok); raise SystemExit(ok is not True)"
 subsum gen --family powers2 --n 22 --out p22.json
 (ulimit -v 409600; subsum solve --in p22.json --algo brute --trace p22.txt > p22.out) || [ $? -eq 1 ]
 grep -qx NOSOLUTION p22.out

@@ -253,7 +253,3 @@ def main(argv=None) -> int:
     except MemoryError:  # never exit 1, which reads as "no solution"
         print("error: out of memory", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,9 +20,11 @@ A ledger is single-writer: one solver run owns one ledger. A ledger given
 a trace list, as in ComparisonLedger([]), adds each charged comparison,
 sorted list build, and solution emission to it as an event; dump_trace
 and parse_trace convert events to and from the line format, and
-solution_witness_check replays them. Solvers refuse a tracing ledger
-above n = FULL_TRACE_MAX_N. parse_trace decodes a brute dump's CMP records
-in bulk and hands any other text whole to the per-line parser.
+solution_witness_check replays them, reading from the trace which operands
+were compared: a trace that opens with a LIST event, as only mitm's does,
+holds split sums. Solvers refuse a tracing ledger above n =
+FULL_TRACE_MAX_N. parse_trace decodes a brute dump's CMP records in bulk
+and hands any other text whole to the per-line parser.
 
 Every event reaches the trace through its extend, in a run: one event for
 a sorted list, a walk's hit or an emission. Each phase runs one loop,
@@ -59,12 +61,6 @@ FULL_TRACE_MAX_N = 24
 # sized from n, so the walk's memory stays flat in n and brute's M = 1 still
 # means it holds no growing list.
 BRUTE_BLOCK_BITS = 10
-
-# Operand encodings a solver may declare for its comparisons. The encoding
-# fixes how a recorded (lhs, rhs) pair maps back to the (subset sum, target)
-# pair whose equality it determines.
-ENCODING_SUM_VS_TARGET = "sum_vs_target"
-ENCODING_SPLIT_SUM = "front_sum_vs_target_minus_back_sum"
 
 
 def front_size(n: int) -> int:
@@ -150,15 +146,13 @@ def sort_charge(length: int) -> int:
 class ComparisonLedger:
     """Counters for one solver run, plus its events if given a trace list."""
 
-    __slots__ = ("compare_count", "elementary_ops", "peak_sorted_len",
-                 "trace", "encoding")
+    __slots__ = ("compare_count", "elementary_ops", "peak_sorted_len", "trace")
 
     def __init__(self, trace: list | None = None):
         self.compare_count = 0
         self.elementary_ops = 0
         self.peak_sorted_len = 1
         self.trace = trace
-        self.encoding = ENCODING_SUM_VS_TARGET
 
     def sorted_sums(self, elements, base: int = 0) -> list[int]:
         """base + each subset sum of elements, ascending; charges the list.
@@ -432,37 +426,33 @@ def _parse_lines(text: str) -> list:
     return events
 
 
-def _witnesses(event, instance: Instance, mask: int, encoding: str) -> bool:
+def _witnesses(event, instance: Instance, mask: int, split: int) -> bool:
     """Whether event is an EQ comparison that settles mask's hit on the target.
 
     The operands must be equal and must be the ones the solver compares
-    for this mask: under ENCODING_SUM_VS_TARGET (subset sum, target); under
-    ENCODING_SPLIT_SUM (front sum, target - back sum), the front being
-    elements [0, front_size(n)).
+    for this mask: the sum of its elements below index split, and the
+    target minus the sum of the rest. A split of n gives brute's (subset
+    sum, target); a split of front_size(n) gives mitm's (front sum,
+    target - back sum).
     """
     if (not isinstance(event, CompareEvent) or event.outcome is not Ordering.EQ
             or event.lhs != event.rhs):
         return False
-    target = instance.target
-    if encoding == ENCODING_SUM_VS_TARGET:
-        return event.rhs == target and event.lhs == subset_sum(instance, mask)
-    front = mask & ((1 << front_size(instance.n)) - 1)
+    front = mask & ((1 << split) - 1)
     return (event.lhs == subset_sum(instance, front)
-            and target - event.rhs == subset_sum(instance, mask ^ front))
+            and instance.target - event.rhs == subset_sum(instance, mask ^ front))
 
 
-def solution_witness_check(trace, instance: Instance,
-                           encoding: str = ENCODING_SUM_VS_TARGET) -> bool:
+def solution_witness_check(trace, instance: Instance) -> bool:
     """Check that the emitted solution is bound to the comparison that found it.
 
     The event right before an EmitEvent carrying mask s must be a
     CompareEvent with outcome EQ, equal operands, and the operands the
-    solver's declared encoding gives for s (see _witnesses). A trace with
-    no emission passes vacuously; an invalid mask or a second emission
-    raises TraceError.
+    solver compares for s (see _witnesses). The split between them is read
+    from the trace: front_size(n) if its first event is a SortedListEvent,
+    as only mitm's is, else n. A trace with no emission passes vacuously;
+    an invalid mask or a second emission raises TraceError.
     """
-    if encoding not in (ENCODING_SUM_VS_TARGET, ENCODING_SPLIT_SUM):
-        raise ValueError(f"unknown encoding {encoding!r}")
     events = trace if isinstance(trace, list) else list(trace)
     # A subclass of EmitEvent is an emission too, as in dump_trace.
     emits = list(compress(count(), map(isinstance, events, repeat(EmitEvent))))
@@ -476,5 +466,6 @@ def solution_witness_check(trace, instance: Instance,
         raise TraceError(f"emitted mask invalid: {exc}") from exc
     if len(emits) > 1:
         raise TraceError("trace contains more than one emission")
-    return at > 0 and _witnesses(events[at - 1], instance, mask, encoding)
-
+    n = instance.n
+    split = front_size(n) if isinstance(events[0], SortedListEvent) else n
+    return at > 0 and _witnesses(events[at - 1], instance, mask, split)

@@ -26,8 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
-                     FULL_TRACE_MAX_N, ComparisonLedger, _gc_paused, front_size)
+from .ledger import FULL_TRACE_MAX_N, ComparisonLedger, _gc_paused, front_size
 from .model import Instance, _quote, all_subset_sums, verify
 
 BRUTE_FORCE_MAX_N = 30
@@ -73,8 +72,7 @@ def _result(instance: Instance, ledger: ComparisonLedger, solution) -> SolveResu
 
 
 @contextmanager
-def _run(instance: Instance, ledger: ComparisonLedger | None, encoding: str,
-         solver: str, max_n: int):
+def _run(instance: Instance, ledger: ComparisonLedger | None, solver: str, max_n: int):
     """The run's ledger, fresh if None; refuses n past a cap and a used ledger.
 
     A tracing ledger's run has the cyclic collector paused (see _gc_paused);
@@ -91,7 +89,6 @@ def _run(instance: Instance, ledger: ComparisonLedger | None, encoding: str,
           or ledger.peak_sorted_len != 1 or ledger.trace):
         raise ValueError(f"{solver} needs a fresh ledger; this one already "
                          "holds counts or trace events")
-    ledger.encoding = encoding
     if ledger.trace is None:
         yield ledger
     else:
@@ -109,8 +106,7 @@ def brute_force_solve(instance: Instance, ledger: ComparisonLedger | None = None
     ledger records one event per visited mask, in ascending order. Refused
     past BRUTE_FORCE_MAX_N.
     """
-    with _run(instance, ledger, ENCODING_SUM_VS_TARGET, "brute force",
-              BRUTE_FORCE_MAX_N) as ledger:
+    with _run(instance, ledger, "brute force", BRUTE_FORCE_MAX_N) as ledger:
         return _result(instance, ledger, ledger.lowest_mask(instance.elements, instance.target))
 
 
@@ -146,10 +142,12 @@ def mitm_solve(instance: Instance, ledger: ComparisonLedger | None = None) -> So
     exhaustively. A hit recovers each half's mask with lowest_mask,
     brute's blocked walk, on a fresh ledger that is then discarded, so
     recovery is untraced and uncharged, and the smallest front mask, then
-    the smallest back mask, wins at the first crossing value. Refused past
-    MITM_MAX_N.
+    the smallest back mask, wins at the first crossing value. A tracing
+    ledger's trace opens with the two lists' LIST events, from which
+    solution_witness_check reads that its EQ compares split sums. Refused
+    past MITM_MAX_N.
     """
-    with _run(instance, ledger, ENCODING_SPLIT_SUM, "meet-in-the-middle", MITM_MAX_N) as ledger:
+    with _run(instance, ledger, "meet-in-the-middle", MITM_MAX_N) as ledger:
         target = instance.target
         split = front_size(instance.n)
         front, back = instance.elements[:split], instance.elements[split:]

@@ -163,7 +163,7 @@ def test_ac6_witness_property_on_planted_runs():
             ledger = ComparisonLedger([])
             result = solver(inst, ledger)
             assert result.found
-            if not solution_witness_check(ledger.trace, inst, ledger.encoding):
+            if not solution_witness_check(ledger.trace, inst):
                 failures += 1
     assert failures == 0
     print("\n[AC6] PASS witness check on 500 planted yes-instances (n<=20), "

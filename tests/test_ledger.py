@@ -21,8 +21,7 @@ from subsum import (ComparisonLedger, CompareEvent, EmitEvent,
                     TraceError, brute_force_solve, dump_trace, gen_planted,
                     gen_powers_of_two, gen_random_wide, generate, ledger,
                     mitm_solve, parse_trace, solution_witness_check)
-from subsum.ledger import (ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET,
-                           _parse_lines, sort_charge)
+from subsum.ledger import _parse_lines, sort_charge
 
 
 def test_compare_outcomes_and_counts():
@@ -738,69 +737,91 @@ def test_only_traced_solves_touch_the_collector(collector_on, solve):
 def test_witness_direct_hit():
     inst = Instance((9,), 9)
     trace = [CompareEvent(9, 9, Ordering.EQ), EmitEvent(0b1)]
-    assert solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+    assert solution_witness_check(trace, inst)
 
 
 def test_witness_missing_compare_fails():
     inst = Instance((9,), 9)
     trace = [EmitEvent(0b1)]
-    assert not solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+    assert not solution_witness_check(trace, inst)
 
 
 def test_witness_vacuous_without_emit():
     inst = Instance((1, 2), 7)
     trace = [CompareEvent(1, 7, Ordering.LT), CompareEvent(3, 7, Ordering.LT)]
-    assert solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+    assert solution_witness_check(trace, inst)
 
 
 def test_witness_compare_after_emit_does_not_count():
     inst = Instance((9,), 9)
     trace = [EmitEvent(0b1), CompareEvent(9, 9, Ordering.EQ)]
-    assert not solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+    assert not solution_witness_check(trace, inst)
 
 
 def test_witness_equal_compare_of_wrong_value_fails():
     inst = Instance((9, 5), 9)
     trace = [CompareEvent(5, 5, Ordering.EQ), EmitEvent(0b01)]
-    assert not solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+    assert not solution_witness_check(trace, inst)
 
 
 def test_witness_split_encoding():
     # front sum 4 vs target 9 minus back sum 5: operands (4, 4)
     inst = Instance((4, 5), 9)
+    lists = [SortedListEvent(2), SortedListEvent(2)]
     trace = [CompareEvent(4, 4, Ordering.EQ), EmitEvent(0b11)]
-    assert solution_witness_check(trace, inst, ENCODING_SPLIT_SUM)
-    # under the direct encoding those operands witness 4 = 4, not sum = 9
-    assert not solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+    assert solution_witness_check(lists + trace, inst)
+    # under the direct rule those operands witness 4 = 4, not sum = 9
+    assert not solution_witness_check(trace, inst)
 
 
 def test_witness_split_rejects_forged_operands():
     # 999 = 999 is a true EQ, but not front sum vs target minus back sum.
     inst = Instance((4, 5), 9)
+    lists = [SortedListEvent(2), SortedListEvent(2)]
     trace = [CompareEvent(999, 999, Ordering.EQ), EmitEvent(0b11)]
-    assert not solution_witness_check(trace, inst, ENCODING_SPLIT_SUM)
+    assert not solution_witness_check(lists + trace, inst)
     # Equal operands that decode to a different split of the same total.
     inst = Instance((4, 5, 3, 2), 9)
+    lists = [SortedListEvent(4), SortedListEvent(4)]
     trace = [CompareEvent(7, 7, Ordering.EQ), EmitEvent(0b0011)]
-    assert not solution_witness_check(trace, inst, ENCODING_SPLIT_SUM)
+    assert not solution_witness_check(lists + trace, inst)
     trace = [CompareEvent(9, 9, Ordering.EQ), EmitEvent(0b0011)]
-    assert solution_witness_check(trace, inst, ENCODING_SPLIT_SUM)
+    assert solution_witness_check(lists + trace, inst)
+
+
+def test_witness_rule_read_from_list_records():
+    # Only mitm's trace opens with LIST records, and they select the split
+    # rule. Either rule passes only an EQ whose operands split the emitted
+    # mask's sum into the target, so adding or removing LIST records only
+    # switches between the two rules.
+    inst = Instance((4, 5), 9)
+    brute = parse_trace("CMP 9 9 EQ\nEMIT 3\n")
+    mitm = parse_trace("LIST 2\nLIST 2\nCMP 4 4 EQ\nEMIT 3\n")
+    lists, compares = mitm[:2], mitm[2:]
+    assert lists == [SortedListEvent(2), SortedListEvent(2)]
+    assert solution_witness_check(brute, inst)
+    assert not solution_witness_check(lists + brute, inst)
+    assert solution_witness_check(mitm, inst)
+    assert not solution_witness_check(compares, inst)
+    # A subclass of SortedListEvent is a LIST record, as in dump_trace.
+    assert solution_witness_check([ListSubclass(2)] + compares, inst)
+    assert not solution_witness_check([ListSubclass(2)] + brute, inst)
 
 
 def test_witness_direct_rejects_unrelated_earlier_eq():
     inst = Instance((9, 4), 9)
     trace = [CompareEvent(9, 9, Ordering.EQ), CompareEvent(4, 9, Ordering.LT),
              EmitEvent(0b01)]
-    assert not solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+    assert not solution_witness_check(trace, inst)
     trace = [CompareEvent(0, 9, Ordering.LT), CompareEvent(9, 9, Ordering.EQ),
              EmitEvent(0b01)]
-    assert solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+    assert solution_witness_check(trace, inst)
 
 
 def test_witness_rejects_eq_with_unequal_operands():
     inst = Instance((9, 4), 9)
     trace = [CompareEvent(4, 9, Ordering.EQ), EmitEvent(0b10)]
-    assert not solution_witness_check(trace, inst, ENCODING_SUM_VS_TARGET)
+    assert not solution_witness_check(trace, inst)
 
 
 def test_witness_rejects_invalid_emit_mask():
@@ -826,13 +847,6 @@ def test_witness_checks_event_subclasses():
         solution_witness_check(trace + [EmitSubclass(0b01)], inst)
     with pytest.raises(TraceError, match="mask invalid"):
         solution_witness_check([EmitSubclass(0b100)], inst)
-
-
-def test_witness_unknown_encoding():
-    inst = Instance((1,), 1)
-    trace = [CompareEvent(1, 1, Ordering.EQ), EmitEvent(1)]
-    with pytest.raises(ValueError):
-        solution_witness_check(trace, inst, "bogus")
 
 
 def test_parse_trace_quotes_a_long_malformed_record_bounded():

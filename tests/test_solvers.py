@@ -21,7 +21,7 @@ from subsum import (CapExceededError, ComparisonLedger, CompareEvent,
                     dp_solve, dump_trace, gen_planted, gen_powers_of_two,
                     gen_random_wide, generate, half_sums, mitm_solve,
                     solution_witness_check, subset_sum, verify)
-from subsum.ledger import ENCODING_SPLIT_SUM, ENCODING_SUM_VS_TARGET, sort_charge
+from subsum.ledger import sort_charge
 from subsum.model import all_subset_sums, sorted_subset_sums
 from subsum.solvers import BRUTE_FORCE_MAX_N, DP_MAX_RANGE, MITM_MAX_N
 
@@ -116,10 +116,11 @@ def test_solvers_refuse_a_used_ledger(traced):
     inst = Instance((3, 5, 7), 8)
     led = ComparisonLedger([] if traced else None)
     assert brute_force_solve(inst, led).compare_count == 4
+    events = None if led.trace is None else list(led.trace)
     for solver in (brute_force_solve, mitm_solve):
         with pytest.raises(ValueError, match="fresh ledger"):
             solver(inst, led)
-    assert (led.compare_count, led.encoding) == (4, ENCODING_SUM_VS_TARGET)
+    assert (led.compare_count, led.trace) == (4, events)
     for field, value in [("compare_count", 1), ("elementary_ops", 1),
                          ("peak_sorted_len", 2)]:
         led = ComparisonLedger([] if traced else None)
@@ -344,8 +345,9 @@ def test_mitm_trace_shape():
     lists = [e for e in led.trace if not isinstance(e, (CompareEvent, EmitEvent))]
     assert [e.length for e in lists] == [2, 2]
     assert led.trace[-1] == EmitEvent(0b11)
-    assert solution_witness_check(led.trace, inst, led.encoding)
-    assert led.encoding == ENCODING_SPLIT_SUM
+    # The opening LIST records tell the witness check to read split sums.
+    assert led.trace[:2] == [SortedListEvent(2), SortedListEvent(2)]
+    assert solution_witness_check(led.trace, inst)
 
 
 @given(st.one_of(small_instances(), small_instances(max_n=12, magnitude=3)))
@@ -558,12 +560,12 @@ def test_deterministic_repeat_runs(inst):
 
 @given(small_instances(max_n=12))
 def test_solver_traces_pass_witness_check(inst):
-    for solver, encoding in [(brute_force_solve, ENCODING_SUM_VS_TARGET),
-                             (mitm_solve, ENCODING_SPLIT_SUM)]:
+    for solver in (brute_force_solve, mitm_solve):
         led = ComparisonLedger([])
         solver(inst, led)
-        assert led.encoding == encoding
-        assert solution_witness_check(led.trace, inst, led.encoding)
+        # Only mitm's trace opens with a LIST record, which selects the split rule.
+        assert isinstance(led.trace[0], SortedListEvent) == (solver is mitm_solve)
+        assert solution_witness_check(led.trace, inst)
 
 
 # -- counting by construction ----------------------------------------------
@@ -623,7 +625,7 @@ def test_behaviour_digest():
                                     res.peak_sorted_len, res.elementary_ops)).encode())
                 if led.trace is not None:
                     digest.update(dump_trace(led.trace).encode())
-                    verdict = solution_witness_check(led.trace, inst, led.encoding)
+                    verdict = solution_witness_check(led.trace, inst)
                     digest.update(repr(verdict).encode())
     assert digest.hexdigest() == (
         "8950b41eb04bb05da9f9867db4f96d47458d4b3bfc16384c24633322bb6f2886")
