@@ -18,7 +18,14 @@
 # max RSS, is the text it holds until the write; holding every event
 # as a tuple would need about 1 GB. The solve must exit 1 (no
 # solution); a MemoryError exits 2 and leaves no trace. Its stdout
-# and the trace's line count are checked too.
+# and the trace's line count are checked too. The trace is then parsed
+# back and witness-checked under the same ceiling: parse_trace holds its
+# CMP records as columns, about 45 B each, and builds an event only when
+# one is read, so the read-back peaks near 320 MB max RSS: the 95 MB
+# text and about 190 MB of columns. A list of every event, about 109 B
+# each, raised MemoryError under this ceiling. The parse must hold
+# 4,194,304 events, and the witness check passes vacuously, since the
+# trace has no EMIT.
 # A planted n = 24 mitm trace is parsed back and witness-checked, its
 # split read from its LIST records. parse_trace decodes in bulk only a brute
 # dump's CMP records; a mitm dump opens with its LIST records, so the
@@ -64,6 +71,7 @@ subsum gen --family powers2 --n 22 --out p22.json
 (ulimit -v 409600; subsum solve --in p22.json --algo brute --trace p22.txt > p22.out) || [ $? -eq 1 ]
 grep -qx NOSOLUTION p22.out
 test "$(wc -l < p22.txt)" -eq 4194304
+(ulimit -v 409600; python -c "import subsum as s; t = s.parse_trace(open('p22.txt').read()); ok = s.solution_witness_check(t, s.read_instance('p22.json')); print('p22 events', len(t), 'witness', ok); raise SystemExit(not (len(t) == 4194304 and ok is True))")
 printf '%s  %s\n' \
   26fb19982a7c44166b97549b8f41cf75f7889ae9aa084fb92153973075ef61c4 t.txt \
   b87855eb40787d739d106b6081b78a8ab48157ea673d6b7023afd64aaf29d211 p22.txt \

@@ -24,7 +24,8 @@ solution_witness_check replays them, reading from the trace which operands
 were compared: a trace that opens with a LIST event, as only mitm's does,
 holds split sums. Solvers refuse a tracing ledger above n =
 FULL_TRACE_MAX_N. parse_trace decodes a brute dump's CMP records in bulk
-and hands any other text whole to the per-line parser.
+into columns and hands any other text whole to the per-line parser; it
+returns a read-only sequence that builds an event only when one is read.
 
 Every event reaches the trace through its extend, in a run: one event for
 a sorted list, a walk's hit or an emission. Each phase runs one loop,
@@ -36,7 +37,8 @@ once its loop is done.
 
 parse_trace and traced solves pause CPython's cyclic garbage collector and
 then restore its prior state: events are acyclic, so reference counting
-frees them; the first collection after the pause still traverses them once.
+frees them; the first collection after the pause still traverses the
+events that were built, which a bulk-decoded dump's columns are not.
 Other threads see the collector paused for that time. A counters-only solve
 leaves the collector alone.
 """
@@ -49,8 +51,9 @@ import json
 import math
 import operator
 import re
+from collections.abc import Sequence
 from contextlib import contextmanager
-from itertools import compress, count, groupby, repeat
+from itertools import accumulate, chain, compress, count, groupby, repeat
 from typing import NamedTuple
 
 from .model import (Instance, _quote, all_subset_sums, check_mask,
@@ -329,8 +332,79 @@ _LAST_OUTCOMES = {code + "\n": ordering for code, ordering in _ORDERINGS.items()
 _OPERAND_CHARS = str.maketrans("", "", ",-0123456789")
 
 
+class _Compares:
+    """The CompareEvents of lhs[i] against rhs with outcomes[i], in order.
+
+    A run of CMP records that _decode_compares read, held as its three
+    columns: an event is built when one is read, as a _Misses run's are.
+    """
+
+    __slots__ = ("lhs", "rhs", "outcomes")
+
+    def __init__(self, lhs: list[int], rhs: int, outcomes: list[Ordering]):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.outcomes = outcomes
+
+    def __len__(self) -> int:
+        return len(self.lhs)
+
+    def __getitem__(self, i: int) -> CompareEvent:
+        return CompareEvent(self.lhs[i], self.rhs, self.outcomes[i])
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(CompareEvent),
+                   zip(self.lhs, repeat(self.rhs), self.outcomes))
+
+
+class _Trace(Sequence):
+    """The events of a parsed trace: a read-only sequence over its runs.
+
+    Each run is a list of events or a _Compares run, whose events are built
+    only when read, so t[i] is t[i] may be False. A slice is a list, and a
+    trace equals a list or another trace holding equal events in order.
+    """
+
+    __slots__ = ("_runs", "_starts")
+
+    def __init__(self, runs: list):
+        self._runs = runs
+        # _starts[r] is the index of run r's first event; the last entry is the length.
+        self._starts = list(accumulate(map(len, runs), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        starts = self._starts
+        i = operator.index(index)
+        if i < 0:
+            i += starts[-1]
+        if not 0 <= i < starts[-1]:
+            raise IndexError("trace index out of range")
+        # Binary search for the run holding i: starts[lo] <= i < starts[hi].
+        lo, hi = 0, len(starts) - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if starts[mid] <= i:
+                lo = mid
+            else:
+                hi = mid
+        return self._runs[lo][i - starts[lo]]
+
+    def __iter__(self):
+        return chain.from_iterable(self._runs)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Trace)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 @_gc_paused()
-def parse_trace(text: str) -> list:
+def parse_trace(text: str) -> Sequence:
     """Inverse of dump_trace: the events of a trace dump, in order.
 
     A record is one of `CMP <int> <int> EQ|LT|GT`, `LIST <nonnegative
@@ -340,32 +414,36 @@ def parse_trace(text: str) -> list:
     naming its line number, as does a decimal past the interpreter's
     int-to-str digit limit.
 
+    The events come as a read-only sequence that builds each one when it
+    is read (see _Trace); list(parse_trace(text)) is a list.
+
     A text is read one of two ways. A brute dump, CMP records against one
     rhs text, each ending in "\n", then a last line such as its EMIT
     record, is decoded in bulk: the text before its last line in chunks
     of about _CHUNK_CHARS, each cut after a newline and validated as it is
-    decoded (see _decode_compares), and the last line by _parse_lines. Any
-    other text, such as a mitm dump, which opens with LIST records, or one
-    with an odd line, is refused by that path; its partial events are
-    dropped and _parse_lines reads the whole text, numbering the lines
-    itself. The cyclic collector stays paused throughout (see _gc_paused).
+    decoded into one _Compares run (see _decode_compares), and the last
+    line by _parse_lines. Any other text, such as a mitm dump, which opens
+    with LIST records, or one with an odd line, is refused by that path;
+    its partial runs are dropped and _parse_lines reads the whole text,
+    numbering the lines itself, into the sequence's one run. The cyclic
+    collector stays paused throughout (see _gc_paused).
     """
-    events, start = [], 0
+    runs, start = [], 0
     last = text.rfind("\n", 0, len(text) - 1) + 1  # where the text's last line starts
     try:
         while start < last:
             stop = text.find("\n", start + _CHUNK_CHARS, last) + 1 or last
-            events += _decode_compares(text[start:stop])
+            runs.append(_decode_compares(text[start:stop]))
             start = stop
-        events += _parse_lines(text[last:])
-        return events
+        runs.append(_parse_lines(text[last:]))
+        return _Trace(runs)
     except (KeyError, ValueError):
-        events = None  # freed before the whole text is parsed again
-    return _parse_lines(text)
+        runs = None  # freed before the whole text is parsed again
+    return _Trace([_parse_lines(text)])
 
 
-def _decode_compares(records: str) -> list:
-    """The CompareEvents of a run of CMP records against one rhs, validated.
+def _decode_compares(records: str) -> _Compares:
+    """The CompareEvents of a run of CMP records against one rhs, validated, as columns.
 
     Split on " ", the records are 3 tokens each after a first "CMP": two
     operands and an outcome joined to the next record's "CMP", or to the
@@ -380,7 +458,9 @@ def _decode_compares(records: str) -> list:
     and a decimal past the digit limit, and a comma inside an lhs text
     yields one int too many; each raises ValueError. Anything but such a
     run raises KeyError or ValueError, having decoded nothing, and
-    parse_trace then reads the whole text with _parse_lines.
+    parse_trace then reads the whole text with _parse_lines. The run is
+    returned as one _Compares of the lhs ints, the rhs int and the
+    outcomes, with no event built.
     """
     tokens = records.split(" ")
     if tokens[0] != "CMP" or len(tokens) % 3 != 1:
@@ -399,8 +479,7 @@ def _decode_compares(records: str) -> list:
     lhs = json.loads(f"[{joined}]")
     if len(lhs) != len(lhs_texts):
         raise ValueError("an lhs text holds a comma")
-    return list(map(tuple.__new__, repeat(CompareEvent),
-                    zip(lhs, repeat(int(rhs)), outcomes)))
+    return _Compares(lhs, int(rhs), outcomes)
 
 
 def _parse_lines(text: str) -> list:
@@ -452,14 +531,22 @@ def solution_witness_check(trace, instance: Instance) -> bool:
     from the trace: front_size(n) if its first event is a SortedListEvent,
     as only mitm's is, else n. A trace with no emission passes vacuously;
     an invalid mask or a second emission raises TraceError.
+
+    trace is a parse_trace result or any iterable of events, read as one
+    run. Emissions are looked for only in runs that are not _Compares
+    columns, so on a bulk-decoded dump the check builds three events.
     """
-    events = trace if isinstance(trace, list) else list(trace)
-    # A subclass of EmitEvent is an emission too, as in dump_trace.
-    emits = list(compress(count(), map(isinstance, events, repeat(EmitEvent))))
+    if type(trace) is not _Trace:
+        trace = _Trace([trace if isinstance(trace, list) else list(trace)])
+    emits = []
+    for start, run in zip(trace._starts, trace._runs):
+        if type(run) is not _Compares:
+            # A subclass of EmitEvent is an emission too, as in dump_trace.
+            emits += compress(count(start), map(isinstance, run, repeat(EmitEvent)))
     if not emits:
         return True
     at = emits[0]
-    mask = events[at].mask
+    mask = trace[at].mask
     try:
         check_mask(instance, mask)
     except (TypeError, ValueError) as exc:
@@ -467,5 +554,5 @@ def solution_witness_check(trace, instance: Instance) -> bool:
     if len(emits) > 1:
         raise TraceError("trace contains more than one emission")
     n = instance.n
-    split = front_size(n) if isinstance(events[0], SortedListEvent) else n
-    return at > 0 and _witnesses(events[at - 1], instance, mask, split)
+    split = front_size(n) if isinstance(trace[0], SortedListEvent) else n
+    return at > 0 and _witnesses(trace[at - 1], instance, mask, split)

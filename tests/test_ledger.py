@@ -525,9 +525,9 @@ def test_parse_trace_reads_a_mitm_dump_whole_per_line(monkeypatch, real_dumps):
 def test_parse_trace_drops_refused_events_before_the_per_line_parse(
         monkeypatch, real_dumps):
     # A "\r\n" that ends the last CMP record makes the bulk decoder refuse
-    # the last chunk, after every chunk before it was decoded. Those events
-    # are dropped: parse_trace returns the per-line parser's events, and its
-    # peak is that parser's own, not that plus a near-whole trace of tuples.
+    # the last chunk, after every chunk before it was decoded. Those runs
+    # are dropped: the per-line parser's events are the parse's one run,
+    # and its peak is that parser's own, not that plus a near-whole trace.
     text = real_dumps[0]
     at = text.rindex("\n", 0, len(text) - 1)
     text = text[:at] + "\r\n" + text[at + 1:]
@@ -539,8 +539,9 @@ def test_parse_trace_drops_refused_events_before_the_per_line_parse(
     with monkeypatch.context() as patch:
         patch.setattr(ledger, "_parse_lines", per_line)
         events = parse_trace(text)
-    assert [whole for whole, _ in calls] == [text] and events is calls[0][1]
-    del events, calls
+    [run] = events._runs
+    assert [whole for whole, _ in calls] == [text] and run is calls[0][1]
+    del events, calls, run
     peaks = []
     for parse in (parse_trace, _parse_lines):
         tracemalloc.start()
@@ -574,6 +575,36 @@ def test_parse_trace_matches_per_line_parser_on_real_dumps(real_dumps, splice, l
         assert parse_outcome(parse_trace, spliced) == parse_outcome(_parse_lines, spliced)
 
 
+def test_parse_trace_is_a_read_only_sequence_built_on_read(real_dumps):
+    # A brute dump parses to many column runs and a per-line run; each
+    # event is built from its run when read, at any index from either end.
+    text = real_dumps[0]
+    expected = _parse_lines(text)
+    parsed = parse_trace(text)
+    n = len(expected)
+    assert len(parsed) == n > 14000 and len(parsed._runs) > 3
+
+    def typed(events):
+        return [(type(event), event) for event in events]
+    assert typed([parsed[i] for i in range(-n, n)]) == typed(expected + expected)
+    assert typed(parsed) == typed(expected)
+    for past in (n, -n - 1):
+        with pytest.raises(IndexError):
+            parsed[past]
+    for cut in (slice(3), slice(-3, None, 2), slice(None, None, -4096)):
+        assert type(parsed[cut]) is list and parsed[cut] == expected[cut]
+    assert parsed == expected and expected == parsed
+    assert parsed == parse_trace(text) and not parsed != parse_trace(text)
+    # One outcome differs, in a middle chunk.
+    at = text.index(" LT\n", len(text) // 2)
+    other = parse_trace(text[:at] + " GT\n" + text[at + 4:])
+    assert parsed != other and other != expected and expected != other
+    assert parsed != expected[:-1] and parsed != tuple(expected)
+    with pytest.raises(TypeError):
+        hash(parsed)
+    assert not hasattr(parsed, "append")
+
+
 events = st.one_of(
     st.builds(CompareEvent, st.integers(-(1 << 80), 1 << 80),
               st.integers(-(1 << 80), 1 << 80), st.sampled_from(Ordering)),
@@ -598,8 +629,10 @@ def test_dump_parse_round_trip_random(trace, chunk):
 
 
 def test_parse_trace_memory_bounded_on_brute_dump():
-    # About 16k lines, whose events take about 2 MB. Decoding a chunk at a
-    # time holds the split tokens of one chunk only, not of the whole text.
+    # About 16k lines, whose events would take about 109 B each. Decoding a
+    # chunk at a time holds the split tokens of one chunk only, not of the
+    # whole text, and the parse holds each record as an lhs int and an
+    # outcome reference in its run's columns, not as an event.
     for seed in (1, 2):
         inst, _ = gen_planted(14, seed, 13)
         led = ComparisonLedger([])
@@ -610,11 +643,12 @@ def test_parse_trace_memory_bounded_on_brute_dump():
         tracemalloc.start()
         try:
             parsed = parse_trace(text)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(parsed) > 14000
-        assert peak < 5_000_000, f"parse_trace peaked at {peak} B"
+        assert peak < 1_500_000, f"parse_trace peaked at {peak} B"
+        assert held < 60 * len(parsed), f"parse_trace holds {held} B"
 
 
 # -- cyclic collector pause ------------------------------------------------
@@ -800,12 +834,42 @@ def test_witness_rule_read_from_list_records():
     lists, compares = mitm[:2], mitm[2:]
     assert lists == [SortedListEvent(2), SortedListEvent(2)]
     assert solution_witness_check(brute, inst)
-    assert not solution_witness_check(lists + brute, inst)
+    assert not solution_witness_check(lists + list(brute), inst)
     assert solution_witness_check(mitm, inst)
     assert not solution_witness_check(compares, inst)
     # A subclass of SortedListEvent is a LIST record, as in dump_trace.
     assert solution_witness_check([ListSubclass(2)] + compares, inst)
-    assert not solution_witness_check([ListSubclass(2)] + brute, inst)
+    assert not solution_witness_check([ListSubclass(2)] + list(brute), inst)
+
+
+def _edit_emit(text, mask_of):
+    head, _, mask = text[:-1].rpartition("EMIT ")
+    return f"{head}EMIT {mask_of(int(mask, 16)):x}\n"
+
+
+@pytest.mark.parametrize("edit, verdict", [
+    (lambda text: text, True),
+    (lambda text: " LT\n".join(text.rsplit(" EQ\n", 1)), False),
+    (lambda text: _edit_emit(text, lambda mask: mask ^ 1), False),
+    (lambda text: _edit_emit(text, lambda mask: 1 << 30), "emitted mask invalid: "),
+    (lambda text: text[:text.rindex("EMIT ")], True),
+    (lambda text: text + text[text.rindex("EMIT "):], "trace contains more than one emission"),
+], ids=["unedited", "eq_to_lt", "other_mask", "invalid_mask", "no_emit", "second_emit"])
+def test_witness_verdict_on_a_parse_matches_its_list(real_dumps, edit, verdict):
+    # The check looks for emissions only outside a parse's CMP columns; it
+    # must reach the verdict, or the error, that it reaches on the events
+    # as one list.
+    def outcome(trace, inst):
+        try:
+            return solution_witness_check(trace, inst)
+        except TraceError as exc:
+            return str(exc)
+    for text, n in zip(real_dumps, (14, 24)):
+        inst, _ = gen_planted(n, 1, n - 1)
+        parsed = parse_trace(edit(text))
+        found = outcome(parsed, inst)
+        assert found == outcome(list(parsed), inst)
+        assert found is verdict if type(verdict) is bool else found.startswith(verdict)
 
 
 def test_witness_direct_rejects_unrelated_earlier_eq():
